@@ -101,17 +101,10 @@ void Run(Scale scale) {
 // grants by construction (see tests/core/incremental_equivalence_test.cc); this measures
 // the cycle-time win.
 
-struct EngineTuning {
-  BlockPartition partition = BlockPartition::kRoundRobin;
-  HeapPublishMode publish = HeapPublishMode::kRing;
-  bool pin_threads = true;
-};
-
 double SteadyStateMsPerCycle(GreedyMetric metric, bool incremental,
                              const std::vector<Task>& tasks, size_t num_blocks,
                              size_t cycles, size_t num_shards = 1, bool async = false,
-                             ScheduleContextStats* stats_out = nullptr,
-                             EngineTuning tuning = {}) {
+                             ScheduleContextStats* stats_out = nullptr) {
   BlockManager blocks(AlphaGrid::Default(), kEpsG, kDeltaG);
   for (size_t b = 0; b < num_blocks; ++b) {
     blocks.AddBlock(0.0, /*unlocked=*/true);
@@ -119,10 +112,7 @@ double SteadyStateMsPerCycle(GreedyMetric metric, bool incremental,
   RdpCurve tiny = SteadyStateTinyDemand();
   GreedyScheduler scheduler(metric, GreedySchedulerOptions{.incremental = incremental,
                                                            .num_shards = num_shards,
-                                                           .async = async,
-                                                           .partition = tuning.partition,
-                                                           .publish = tuning.publish,
-                                                           .pin_threads = tuning.pin_threads});
+                                                           .async = async});
   scheduler.ScheduleBatch(tasks, blocks);  // Warm-up: measure the steady state.
   ScheduleContextStats at_entry;
   if (scheduler.engine() != nullptr) {
@@ -246,55 +236,6 @@ void RunAsyncSweep(Scale scale) {
               std::to_string(num_tasks) + " pending tasks, 5% blocks dirty per cycle)");
 }
 
-// --- Ring-vs-mutex publication and pinned-vs-unpinned legs (async engine) -----------------
-//
-// The async engine's heap publication is a per-shard lock-free SPSC ring by default; the
-// pre-ring mutex/condvar handoff is kept as a comparison leg. Shard threads pin themselves
-// to allowed cores at startup (first-touch placement keeps each shard's heap/cache slices
-// core-local); the unpinned leg measures the same engine with pinning disabled. Grants are
-// byte-identical across all legs (scenario_matrix_test) — only the handoff and placement
-// change. ring_publishes counts one push per shard per dispatched cycle; ring_retries and
-// pin_failures are zero by construction here (the driver drains every cycle; PickShardCore
-// only returns allowed cores).
-
-void RunPublishAndPinSweep(Scale scale) {
-  double f = ScaleFactor(scale);
-  size_t num_tasks = static_cast<size_t>(1000.0 * f);
-  if (num_tasks == 0) {
-    return;
-  }
-  constexpr size_t kBlocks = kSteadyStateBlocks;
-  constexpr size_t kCycles = 20;
-  constexpr size_t kShards = 4;
-  std::vector<Task> tasks = SteadyStateTasks(num_tasks);
-  CsvTable table({"metric", "ring_pinned_ms", "ring_unpinned_ms", "mutex_pinned_ms",
-                  "ring_publishes", "ring_retries", "pin_failures"});
-  for (GreedyMetric metric : {GreedyMetric::kDpack, GreedyMetric::kDpf, GreedyMetric::kArea}) {
-    ScheduleContextStats ring_stats;
-    double ring_pinned =
-        SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, kShards, true,
-                              &ring_stats, EngineTuning{});
-    double ring_unpinned =
-        SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, kShards, true,
-                              nullptr, EngineTuning{.pin_threads = false});
-    double mutex_pinned =
-        SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, kShards, true,
-                              nullptr, EngineTuning{.publish = HeapPublishMode::kMutex});
-    GreedyScheduler named(metric);
-    table.NewRow()
-        .Add(named.name())
-        .Add(FormatDouble(ring_pinned))
-        .Add(FormatDouble(ring_unpinned))
-        .Add(FormatDouble(mutex_pinned))
-        .Add(ring_stats.ring_publishes)
-        .Add(ring_stats.ring_retries)
-        .Add(ring_stats.pin_failures);
-  }
-  table.Print("Fig. 5 addendum: async heap publication (ring vs mutex) and shard pinning (" +
-              std::to_string(num_tasks) + " pending tasks, " + std::to_string(kShards) +
-              " shards)");
-}
-
 // --- Deterministic counter dump for the CI regression gate (--json <path>) ----------------
 //
 // Emits the steady-state engine counters in the same {"benchmarks": [...]} shape as
@@ -316,20 +257,15 @@ bool DumpCountersJson(Scale scale, const std::string& path) {
     const char* label;
     size_t shards;
     bool async;
-    EngineTuning tuning;
   };
-  // The async legs cross the publication mode (ring vs mutex) and pinning (pinned vs
-  // unpinned); the ring/pin counters are exact (one publish per shard per cycle, zero
+  // The async legs' ring/pin counters are exact (one publish per shard per cycle, zero
   // retries, zero pin failures — PickShardCore only returns allowed cores), so the gate
   // pins the publication protocol itself.
   const Leg legs[] = {
-      {"sync", 1, false, {}},
-      {"sync", 4, false, {}},
-      {"async", 1, true, {}},
-      {"async", 4, true, {}},
-      {"async-unpinned", 4, true, {.pin_threads = false}},
-      {"async-mutex", 4, true, {.publish = HeapPublishMode::kMutex}},
-      {"async-range", 4, true, {.partition = BlockPartition::kIdRange}},
+      {"sync", 1, false},
+      {"sync", 4, false},
+      {"async", 1, true},
+      {"async", 4, true},
   };
   std::vector<BenchJsonEntry> entries;
   for (GreedyMetric metric : {GreedyMetric::kDpack, GreedyMetric::kDpf, GreedyMetric::kArea}) {
@@ -337,7 +273,7 @@ bool DumpCountersJson(Scale scale, const std::string& path) {
     for (const Leg& leg : legs) {
       ScheduleContextStats stats;
       double ms = SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, leg.shards,
-                                        leg.async, &stats, leg.tuning);
+                                        leg.async, &stats);
       BenchJsonEntry entry{
           "fig5_steady/" + named.name() + "/" + leg.label +
               "/shards:" + std::to_string(leg.shards),
@@ -393,6 +329,5 @@ int main(int argc, char** argv) {
   RunIncrementalComparison(scale);
   RunShardSweep(scale);
   RunAsyncSweep(scale);
-  RunPublishAndPinSweep(scale);
   return 0;
 }

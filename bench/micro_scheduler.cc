@@ -185,9 +185,7 @@ BENCHMARK(BM_AreaSteadyRecompute)
 // each driver's coordination overhead (two barriers per cycle for sync, dispatch + one
 // fence + publication for async).
 
-void RunSteadyStateEngine(benchmark::State& state, GreedyMetric metric, bool async,
-                          HeapPublishMode publish = HeapPublishMode::kRing,
-                          bool pin_threads = true) {
+void RunSteadyStateEngine(benchmark::State& state, GreedyMetric metric, bool async) {
   std::vector<Task> tasks = SteadyStateTasks(static_cast<size_t>(state.range(0)));
   size_t num_shards = static_cast<size_t>(state.range(1));
   BlockManager blocks(AlphaGrid::Default(), kEpsG, kDeltaG);
@@ -197,9 +195,7 @@ void RunSteadyStateEngine(benchmark::State& state, GreedyMetric metric, bool asy
   RdpCurve tiny = SteadyStateTinyDemand();
   GreedyScheduler scheduler(metric, GreedySchedulerOptions{.incremental = true,
                                                            .num_shards = num_shards,
-                                                           .async = async,
-                                                           .publish = publish,
-                                                           .pin_threads = pin_threads});
+                                                           .async = async});
   scheduler.ScheduleBatch(tasks, blocks);  // Warm the cache: steady state, not first cycle.
   size_t dirty_cursor = 0;
   // Second warm-up with a dirty block fills the merge's second ping-pong buffer (see
@@ -272,28 +268,6 @@ void BM_AreaSteadyAsync(benchmark::State& state) {
 BENCHMARK(BM_AreaSteadyAsync)
     ->Args({1000, 1})
     ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-// Publication/pinning ablations against BM_DpackSteadyAsync/1000/4 (the ring + pinned
-// default): the mutex/condvar handoff the ring replaced, and the counted-fallback unpinned
-// run. Identical work counters by construction — only the publication mechanism and thread
-// placement differ, which is exactly what the wall-time comparison isolates.
-void BM_DpackSteadyAsyncMutex(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpack, /*async=*/true,
-                       HeapPublishMode::kMutex);
-}
-BENCHMARK(BM_DpackSteadyAsyncMutex)
-    ->Args({1000, 4})
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DpackSteadyAsyncUnpinned(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpack, /*async=*/true,
-                       HeapPublishMode::kRing, /*pin_threads=*/false);
-}
-BENCHMARK(BM_DpackSteadyAsyncUnpinned)
     ->Args({1000, 4})
     ->Iterations(kSteadyIterations)
     ->Unit(benchmark::kMillisecond);

@@ -18,6 +18,11 @@ src/core, src/block, and src/service unless noted):
                            except src/common/cpu_affinity.{h,cc}: pinning must go through
                            PinCurrentThreadToCore/AllowedCores so the cpuset-aware fallback
                            (and its pin_failures accounting) cannot be bypassed.
+  raw-sleep                (all of src/, tests/, bench/, examples/) usleep, nanosleep and
+                           sleep_for are banned everywhere except src/common/sleep.{h,cc}:
+                           a bare usleep returns early on EINTR and silently shrinks every
+                           iteration-budget deadline, so poll sleeps go through
+                           SleepFullMicros. Deliberate wall-pacing sleeps carry an allow.
   unordered-iteration      Iterating an unordered container on a grant-ordering path:
                            iteration order is hash-seed/pointer dependent, so any grant
                            decision derived from it differs run to run. Lookups are fine;
@@ -84,6 +89,8 @@ ALL_CODE_DIRS = ("src", "tests", "bench", "examples")
 THREAD_ANNOTATIONS_HEADER = "src/common/thread_annotations.h"
 # raw-affinity likewise: the helper pair is the one sanctioned home for affinity syscalls.
 CPU_AFFINITY_SOURCES = ("src/common/cpu_affinity.h", "src/common/cpu_affinity.cc")
+# raw-sleep likewise: the EINTR-safe sleep helper is the one sanctioned home for sleeps.
+SLEEP_SOURCES = ("src/common/sleep.h", "src/common/sleep.cc")
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
 
@@ -93,6 +100,7 @@ RAW_MUTEX_RE = re.compile(
     r"unique_lock|scoped_lock|shared_lock)\b")
 RAW_AFFINITY_RE = re.compile(
     r"\b(pthread_[gs]etaffinity_np|sched_[gs]etaffinity)\s*\(")
+RAW_SLEEP_RE = re.compile(r"\b(usleep|nanosleep|sleep_for)\s*\(")
 UNORDERED_DECL_RE = re.compile(
     r"\bstd::(unordered_map|unordered_set|unordered_multimap|unordered_multiset)\s*<")
 # A (member) declaration we can harvest a variable name from:
@@ -278,6 +286,16 @@ def lint_file(rel, text):
                     f"{m.group(1)} outside src/common/cpu_affinity.*; use "
                     f"PinCurrentThreadToCore/AllowedCores so the cpuset-aware fallback "
                     f"and pin_failures accounting apply")
+
+    # raw-sleep: everywhere except the sleep helper pair itself.
+    if in_scope(rel_posix, ALL_CODE_DIRS) and rel_posix not in SLEEP_SOURCES:
+        for idx, line in enumerate(lines, 1):
+            m = RAW_SLEEP_RE.search(line)
+            if m:
+                add(idx, "raw-sleep",
+                    f"{m.group(1)} outside src/common/sleep.*; use SleepFullMicros so an "
+                    f"EINTR never shortens a poll interval, or add a reasoned allow for a "
+                    f"deliberate wall-pacing sleep")
 
     in_grant_scope = in_scope(rel_posix, GRANT_ORDERING_DIRS)
     in_float_eq_scope = in_scope(rel_posix, FLOAT_EQ_DIRS)

@@ -4,9 +4,8 @@
 
 namespace dpack {
 
-ShardedBlockManager::ShardedBlockManager(BlockManager* blocks, size_t num_shards,
-                                         BlockPartition partition)
-    : blocks_(blocks), partition_(partition), shards_(num_shards) {
+ShardedBlockManager::ShardedBlockManager(BlockManager* blocks, size_t num_shards)
+    : blocks_(blocks), shards_(num_shards) {
   DPACK_CHECK(blocks_ != nullptr);
   DPACK_CHECK_MSG(num_shards >= 1, "ShardedBlockManager needs at least one shard");
 }

@@ -4,20 +4,13 @@
 // threads) can detect *which* partition of the capacity state changed, in O(blocks) counter
 // reads and without touching any curve.
 //
-// Partitioning schemes (BlockPartition, chosen at construction):
-//   - kRoundRobin: block g belongs to shard g mod N, local index g / N. Global ids are
-//     dense and arrival-ordered, so shards stay balanced block-by-block under online
-//     arrival (members of shard s, in id order, are exactly {s, s + N, s + 2N, ...}).
-//   - kIdRange: 64-block chunks (the BlockVersionTree group size, so a version-tree group
-//     never straddles shards) dealt round-robin — shard(g) = (g / 64) mod N, local index
-//     (g / 64 / N) * 64 + g mod 64. Consecutive ids land on the same shard, so a shard's
-//     refresh walks contiguous block state (cache/NUMA locality, ROADMAP item 2); balance
-//     is per-chunk instead of per-block.
-// Under both schemes local indices are dense per shard (ids are dense and only the
-// globally-last chunk is partial), so per-shard arrays sized by shard_members(s).size()
-// are indexed by LocalIndex directly. The partition only redistributes *block ownership*
+// Partitioning is round-robin: block g belongs to shard g mod N, local index g / N. Global
+// ids are dense and arrival-ordered, so shards stay balanced block-by-block under online
+// arrival (members of shard s, in id order, are exactly {s, s + N, s + 2N, ...}), and local
+// indices are dense per shard, so per-shard arrays sized by shard_members(s).size() are
+// indexed by LocalIndex directly. The partition only distributes *block ownership*
 // (refresh/solve work); the scheduling engines' task-side sharding and merge order never
-// read it, which is why grants are byte-identical across partition modes (pinned by
+// read it, which is why grants are byte-identical for every shard count (pinned by
 // tests/integration/scenario_matrix_test.cc).
 //
 // Per-shard clocks, mirroring the manager-level invariant (see src/dpack/dpack.h):
@@ -50,47 +43,22 @@
 
 namespace dpack {
 
-// How blocks are assigned to shards; see the file comment. Grant sequences are identical
-// under either mode — the choice trades per-block balance (kRoundRobin) for contiguous
-// per-shard id ranges (kIdRange).
-enum class BlockPartition {
-  kRoundRobin,
-  kIdRange,
-};
-
 class ShardedBlockManager {
  public:
-  // Chunk size of the kIdRange scheme: the BlockVersionTree group size, so one version-tree
-  // group is always owned by one shard.
-  static constexpr size_t kRangeChunkShift = BlockVersionTree::kGroupShift;
-
   // `blocks` must outlive this object; `num_shards` >= 1. Existing blocks are absorbed by
   // the first Sync().
-  ShardedBlockManager(BlockManager* blocks, size_t num_shards,
-                      BlockPartition partition = BlockPartition::kRoundRobin);
+  ShardedBlockManager(BlockManager* blocks, size_t num_shards);
 
   BlockManager& manager() { return *blocks_; }
   const BlockManager& manager() const { return *blocks_; }
 
   size_t num_shards() const { return shards_.size(); }
-  BlockPartition partition() const { return partition_; }
   size_t ShardOf(BlockId id) const {
-    uint64_t g = static_cast<uint64_t>(id);
-    if (partition_ == BlockPartition::kIdRange) {
-      g >>= kRangeChunkShift;
-    }
-    return static_cast<size_t>(g % shards_.size());
+    return static_cast<size_t>(static_cast<uint64_t>(id) % shards_.size());
   }
-  // Index of block `id` within its shard's member list (dense under both schemes).
+  // Index of block `id` within its shard's member list.
   size_t LocalIndex(BlockId id) const {
-    uint64_t g = static_cast<uint64_t>(id);
-    if (partition_ == BlockPartition::kIdRange) {
-      constexpr uint64_t kMask = (uint64_t{1} << kRangeChunkShift) - 1;
-      return static_cast<size_t>(((g >> kRangeChunkShift) / shards_.size())
-                                     << kRangeChunkShift) +
-             static_cast<size_t>(g & kMask);
-    }
-    return static_cast<size_t>(g / shards_.size());
+    return static_cast<size_t>(static_cast<uint64_t>(id) / shards_.size());
   }
 
   // Member block ids of shard `s`, in increasing (arrival) order.
@@ -117,7 +85,7 @@ class ShardedBlockManager {
   // Blocks absorbed so far (= the manager's block_count() at the last Sync).
   size_t known_blocks() const { return known_; }
 
-  // Absorbs blocks added to the manager since the last Sync (per the partition scheme) and
+  // Absorbs blocks added to the manager since the last Sync into their shards and
   // refreshes every shard's version sum, changed list, and dirty flag. Returns the number of
   // new blocks. Not thread-safe; run between parallel phases.
   //
@@ -140,7 +108,6 @@ class ShardedBlockManager {
   };
 
   BlockManager* blocks_;
-  BlockPartition partition_;
   // Sized once at construction and never resized (Shard holds atomics, so the vector's
   // elements must stay in place).
   std::vector<Shard> shards_;

@@ -9,9 +9,8 @@
 // then publishes the write cursor with a release store; TryPop reads the cursor with an
 // acquire load before touching the slot. Everything the producer wrote before a successful
 // push — the slot, and any plain memory it filled earlier (a heap snapshot, per-shard
-// counters) — therefore happens-before the consumer's pop of that slot. This edge is what
-// lets AsyncScheduleEngine retire its mutex publication handoff: the ring pop is the
-// publication point.
+// counters) — therefore happens-before the consumer's pop of that slot. This edge is why
+// AsyncScheduleEngine's publication takes no lock: the ring pop is the publication point.
 //
 // Slots carry an explicit epoch stamp chosen by the producer (the engine uses its cycle's
 // dispatch sequence number). A consumer that pops a slot whose epoch is not the one it is

@@ -5,13 +5,8 @@
 
 namespace dpack {
 
-AsyncScheduleEngine::AsyncScheduleEngine(GreedyMetric metric, double eta, size_t num_shards,
-                                         BlockPartition partition, HeapPublishMode publish,
-                                         bool pin_threads)
-    : ShardedScheduleContext(metric, eta, num_shards, /*pool_workers=*/0, partition),
-      publish_(publish),
-      pin_threads_(pin_threads),
-      stamps_(num_shards),
+AsyncScheduleEngine::AsyncScheduleEngine(GreedyMetric metric, double eta, size_t num_shards)
+    : ShardedScheduleContext(metric, eta, num_shards, /*pool_workers=*/0),
       ring_stamps_(num_shards),
       late_(num_shards) {
   rings_.reserve(num_shards);
@@ -51,11 +46,9 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
   // is first-touched from its core, so default first-touch placement keeps the shard's
   // working set local. A denial is counted, never fatal: the loop below is identical
   // pinned or not.
-  if (pin_threads_) {
-    int core = PickShardCore(s);
-    if (core < 0 || !PinCurrentThreadToCore(core)) {
-      pin_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
+  int core = PickShardCore(s);
+  if (core < 0 || !PinCurrentThreadToCore(core)) {
+    pin_failures_.fetch_add(1, std::memory_order_relaxed);
   }
 
   uint64_t seen = 0;
@@ -158,26 +151,17 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
     stamp.valid = stamp.epoch == partition_->shard_epoch(s) &&
                   stamp.version == partition_->shard_version(s);
 
-    if (publish_ == HeapPublishMode::kRing) {
-      // Publish, ring mode: one epoch-stamped push onto this shard's private SPSC ring.
-      // The push's release store makes the heap, the counters (incremented before the
-      // push), and the stamp visible to the driver's acquire pop — no lock from the fence
-      // to the next dispatch wait. The ring can only be full if a driver stopped draining
-      // (a protocol violation); the retry spin is counted so the bench gate would catch it.
-      ++shard.partial.ring_publishes;
-      while (!rings_[s]->TryPush(seen, stamp)) {
-        ++shard.partial.ring_retries;
-        std::this_thread::yield();
-      }
-      lock.Lock();
-    } else {
-      // Publish, mutex mode: heap + stamp become visible through the mutex handoff.
-      lock.Lock();
-      stamps_[s] = stamp;
-      if (++published_ == num_shards_) {
-        done_cv_.NotifyOne();
-      }
+    // Publish: one epoch-stamped push onto this shard's private SPSC ring. The push's
+    // release store makes the heap, the counters (incremented before the push), and the
+    // stamp visible to the driver's acquire pop — no lock from the fence to the next
+    // dispatch wait. The ring can only be full if a driver stopped draining (a protocol
+    // violation); the retry spin is counted so the bench gate would catch it.
+    ++shard.partial.ring_publishes;
+    while (!rings_[s]->TryPush(seen, stamp)) {
+      ++shard.partial.ring_retries;
+      std::this_thread::yield();
     }
+    lock.Lock();
   }
 }
 
@@ -191,61 +175,48 @@ bool AsyncScheduleEngine::RunPhases(std::span<const Task> pending, const BlockMa
     cycle_refresh_limit_ = refresh_limit;
     cycle_previous_ = previous_cycle;
     refresh_done_ = 0;
-    published_ = 0;
     seq = ++dispatch_seq_;
   }
   dispatch_cv_.NotifyAll();
 
   // Quiesce: consume every shard's publication for this cycle, then validate every stamp.
+  // Pop each ring until this cycle's frame (epoch == seq) arrives. A frame from any other
+  // epoch is a stale publication — impossible under the cycle protocol, handled exactly
+  // like a stale stamp: counted, discarded, cycle abandoned below.
   uint64_t stale = 0;
-  if (publish_ == HeapPublishMode::kRing) {
-    // Pop each ring until this cycle's frame (epoch == seq) arrives. A frame from any
-    // other epoch is a stale publication — impossible under the cycle protocol, handled
-    // exactly like a stale stamp: counted, discarded, cycle abandoned below.
-    ring_done_.assign(num_shards_, 0);
-    size_t remaining = num_shards_;
-    while (remaining > 0) {
-      bool progressed = false;
-      for (size_t s = 0; s < num_shards_; ++s) {
-        if (ring_done_[s] != 0) {
-          continue;
-        }
-        uint64_t epoch = 0;
-        ClockStamp stamp;
-        while (rings_[s]->TryPop(&epoch, &stamp)) {
-          progressed = true;
-          if (epoch == seq) {
-            ring_stamps_[s] = stamp;
-            ring_done_[s] = 1;
-            --remaining;
-            break;
-          }
-          ++stale;
-        }
+  ring_done_.assign(num_shards_, 0);
+  size_t remaining = num_shards_;
+  while (remaining > 0) {
+    bool progressed = false;
+    for (size_t s = 0; s < num_shards_; ++s) {
+      if (ring_done_[s] != 0) {
+        continue;
       }
-      if (!progressed) {
-        std::this_thread::yield();
-      }
-    }
-    MutexLock lock(mu_);
-    cycle_pending_ = {};
-    cycle_blocks_ = nullptr;
-    for (const ClockStamp& stamp : ring_stamps_) {
-      if (!stamp.valid) {
+      uint64_t epoch = 0;
+      ClockStamp stamp;
+      while (rings_[s]->TryPop(&epoch, &stamp)) {
+        progressed = true;
+        if (epoch == seq) {
+          ring_stamps_[s] = stamp;
+          ring_done_[s] = 1;
+          --remaining;
+          break;
+        }
         ++stale;
       }
     }
-  } else {
-    MutexLock lock(mu_);
-    while (published_ != num_shards_) {
-      done_cv_.Wait(mu_);
+    if (!progressed) {
+      std::this_thread::yield();
     }
+  }
+  {
+    MutexLock lock(mu_);
     cycle_pending_ = {};
     cycle_blocks_ = nullptr;
-    for (const ClockStamp& stamp : stamps_) {
-      if (!stamp.valid) {
-        ++stale;
-      }
+  }
+  for (const ClockStamp& stamp : ring_stamps_) {
+    if (!stamp.valid) {
+      ++stale;
     }
   }
 

@@ -31,28 +31,26 @@
 //              and revalidates its clock stamp: unchanged (epoch, version) proves no Sync
 //              intervened since work started — the shard's capacity state is exactly the
 //              state the scores were computed from.
-//   publish    The thread publishes heap + stamp and goes back to watching. In the default
-//              HeapPublishMode::kRing, publication is one push onto the shard's private
-//              lock-free SPSC ring (src/common/spsc_ring.h), epoch-stamped with the cycle's
-//              dispatch sequence; the push's release store is the publication edge for the
-//              heap and counters, so no lock is taken between the fence and the next
-//              dispatch. kMutex keeps the original mutex/condvar handoff for comparison.
+//   publish    The thread publishes heap + stamp and goes back to watching. Publication is
+//              one push onto the shard's private lock-free SPSC ring
+//              (src/common/spsc_ring.h), epoch-stamped with the cycle's dispatch sequence;
+//              the push's release store is the publication edge for the heap and counters,
+//              so no lock is taken between the fence and the next dispatch.
 //   quiesce    The driver's fence: it consumes every shard's publication for this cycle —
-//              ring mode spin-pops each ring until the frame stamped with this dispatch
-//              sequence arrives (acquire-consume); mutex mode waits on the publication
-//              count — then validates every stamp. A stale publication (a frame from
-//              another epoch, or a stamp whose clock moved; impossible under the cycle
-//              protocol; counted as async_stale_publishes) abandons the cycle to the
-//              recompute reference, so grants stay correct even if a caller violates the
-//              protocol. The merge + CANRUN walk then run over the published heaps exactly
-//              as in the synchronous engine.
+//              spin-popping each ring until the frame stamped with this dispatch sequence
+//              arrives (acquire-consume) — then validates every stamp. A stale publication
+//              (a frame from another epoch, or a stamp whose clock moved; impossible under
+//              the cycle protocol; counted as async_stale_publishes) abandons the cycle to
+//              the recompute reference, so grants stay correct even if a caller violates
+//              the protocol. The merge + CANRUN walk then run over the published heaps
+//              exactly as in the synchronous engine.
 //
-// Pinning and placement: with `pin_threads` (the default) each shard thread pins itself to
-// an allowed core at startup — core s % |cpuset| via src/common/cpu_affinity.h — so a
-// shard's refresh/score working set stays on one core, and the heap/merge buffers it grows
-// are first-touched (hence placed) by that pinned thread. Pinning is best-effort: a denied
-// cpuset degrades to the unpinned engine with stats().pin_failures counting the denials,
-// never an error (the CI-container fallback).
+// Pinning and placement: each shard thread pins itself to an allowed core at startup —
+// core s % |cpuset| via src/common/cpu_affinity.h — so a shard's refresh/score working set
+// stays on one core, and the heap/merge buffers it grows are first-touched (hence placed)
+// by that pinned thread. Pinning is best-effort: a denied cpuset degrades to the unpinned
+// engine with stats().pin_failures counting the denials, never an error (the CI-container
+// fallback).
 //
 // Determinism: every score is computed by the same function on bit-identical snapshot state
 // as the synchronous engine — the early/late split only reorders score *computation* within
@@ -60,7 +58,7 @@
 // staleness detection). The N-way merge under HeapEntryBefore (a strict total order for
 // unique task ids) and the sequential walk are unchanged — rings and pinning change how and
 // where heaps are built and moved, never the merge order — so the grant sequence is
-// byte-identical for every shard count, publish mode, partition mode, and thread timing.
+// byte-identical for every shard count and thread timing.
 
 #ifndef SRC_CORE_ASYNC_SCHEDULE_ENGINE_H_
 #define SRC_CORE_ASYNC_SCHEDULE_ENGINE_H_
@@ -82,15 +80,8 @@ class AsyncScheduleEngine : public ShardedScheduleContext {
  public:
   // Spawns `num_shards` persistent scheduler threads (>= 1). Same cycle protocol as the
   // synchronous engines; the caller must not run ScheduleBatch concurrently with itself.
-  // `partition`, `publish`, and `pin_threads` are pure performance knobs — grants are
-  // byte-identical under every combination.
-  AsyncScheduleEngine(GreedyMetric metric, double eta, size_t num_shards,
-                      BlockPartition partition = BlockPartition::kRoundRobin,
-                      HeapPublishMode publish = HeapPublishMode::kRing,
-                      bool pin_threads = true);
+  AsyncScheduleEngine(GreedyMetric metric, double eta, size_t num_shards);
   ~AsyncScheduleEngine() override;
-
-  HeapPublishMode publish_mode() const { return publish_; }
 
  protected:
   bool RunPhases(std::span<const Task> pending, const BlockManager& blocks,
@@ -107,8 +98,6 @@ class AsyncScheduleEngine : public ShardedScheduleContext {
   void ShardLoop(size_t s) EXCLUDES(mu_);
   bool AllBlocksHome(const Task& task, size_t s) const;
 
-  const HeapPublishMode publish_;
-  const bool pin_threads_;
   // Shard threads that failed to pin (each increments once, at startup, before its first
   // publication — so any completed cycle's quiesce happens-after every increment). The
   // driver re-reads it into stats_.pin_failures after each quiesce.
@@ -117,13 +106,11 @@ class AsyncScheduleEngine : public ShardedScheduleContext {
   Mutex mu_;
   CondVar dispatch_cv_;  // Shard threads wait here for a new cycle.
   CondVar barrier_cv_;   // The refresh fence among shard threads.
-  CondVar done_cv_;      // kMutex publication: the driver waits here for all publications.
 
   // Cycle inputs and progress; all guarded by mu_ (machine-checked). Dispatch and the
-  // refresh fence always run under mu_; in kMutex publish mode the mutex handoff is also
-  // what establishes happens-before for the unguarded shared engine state (base-class
-  // arrays), per the visibility contract in sharded_schedule_context.h. In kRing mode that
-  // edge is the ring push/pop instead.
+  // refresh fence run under mu_; the happens-before edge for the unguarded shared engine
+  // state (base-class arrays) back to the driver is the ring push/pop, per the visibility
+  // contract in sharded_schedule_context.h.
   uint64_t dispatch_seq_ GUARDED_BY(mu_) = 0;
   std::span<const Task> cycle_pending_ GUARDED_BY(mu_);
   const BlockManager* cycle_blocks_ GUARDED_BY(mu_) = nullptr;
@@ -131,12 +118,9 @@ class AsyncScheduleEngine : public ShardedScheduleContext {
   uint64_t cycle_previous_ GUARDED_BY(mu_) = 0;
   // Shards past the refresh + early-score step.
   size_t refresh_done_ GUARDED_BY(mu_) = 0;
-  // kMutex publication state: shards that published this cycle, and their stamps.
-  size_t published_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
-  std::vector<ClockStamp> stamps_ GUARDED_BY(mu_);  // Per shard; written at publication.
 
-  // kRing publication state. Each shard thread produces into its own ring; the driver is
+  // Publication state. Each shard thread produces into its own ring; the driver is
   // the only consumer. ring_stamps_/ring_done_ are driver-only quiesce scratch (the popped
   // frames), touched by no shard thread.
   std::vector<std::unique_ptr<SpscRing<ClockStamp>>> rings_;

@@ -68,14 +68,6 @@ enum class GreedyMetric {
   kFcfs,   // Arrival order.
 };
 
-// How AsyncScheduleEngine moves a shard thread's finished heap snapshot to the driver.
-// Both modes produce byte-identical grants — publication only changes *how* heaps become
-// visible, never the merge order (see src/core/async_schedule_engine.h).
-enum class HeapPublishMode {
-  kRing,   // Lock-free per-shard SPSC ring (src/common/spsc_ring.h); the default.
-  kMutex,  // The pre-ring mutex/condvar handoff, kept for comparison benches and tests.
-};
-
 // Grants tasks in `order` whose demands all requested blocks accept, committing as it goes —
 // the CANRUN loop of Alg. 1. Infeasible tasks are skipped, never block the later ones: every
 // policy, including FCFS, backfills past tasks whose filters reject (which is why FCFS does
@@ -125,9 +117,8 @@ struct ScheduleContextStats {
   uint64_t async_wasted_rescores = 0;
 
   // Lock-free publication and pinning counters (AsyncScheduleEngine; zero elsewhere):
-  //   - ring_publishes: heap snapshots delivered through the per-shard SPSC rings
-  //     (HeapPublishMode::kRing). Exactly num_shards per cycle in ring mode, 0 in mutex
-  //     mode — deterministic, so bench/baseline.json gates it.
+  //   - ring_publishes: heap snapshots delivered through the per-shard SPSC rings.
+  //     Exactly num_shards per cycle — deterministic, so bench/baseline.json gates it.
   //   - ring_retries: producer-side full-ring retries. Zero by construction (the driver
   //     drains every ring each cycle and a shard publishes once per dispatch); gated at
   //     zero so a protocol regression that makes producers spin is caught.

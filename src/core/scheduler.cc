@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "src/common/check.h"
+#include "src/common/cpu_affinity.h"
 #include "src/core/async_schedule_engine.h"
 #include "src/core/sharded_schedule_context.h"
 
@@ -26,13 +27,9 @@ void GreedyScheduler::RebuildEngine() {
   if (metric_ == GreedyMetric::kFcfs) {
     engine_ = std::make_unique<ScheduleContext>(metric_, options_.eta);
   } else if (options_.async) {
-    engine_ = std::make_unique<AsyncScheduleEngine>(metric_, options_.eta,
-                                                    options_.num_shards, options_.partition,
-                                                    options_.publish, options_.pin_threads);
+    engine_ = std::make_unique<AsyncScheduleEngine>(metric_, options_.eta, options_.num_shards);
   } else if (options_.num_shards > 1) {
-    engine_ = std::make_unique<ShardedScheduleContext>(metric_, options_.eta,
-                                                       options_.num_shards,
-                                                       options_.partition);
+    engine_ = std::make_unique<ShardedScheduleContext>(metric_, options_.eta, options_.num_shards);
   } else {
     engine_ = std::make_unique<ScheduleContext>(metric_, options_.eta);
   }
@@ -184,11 +181,15 @@ size_t ResolveNumShards(size_t requested, size_t known_blocks, size_t hardware_h
   if (requested > 0) {
     return requested;
   }
-  size_t hardware = hardware_hint > 0
-                        ? hardware_hint
-                        : static_cast<size_t>(std::thread::hardware_concurrency());
+  size_t hardware = hardware_hint;
   if (hardware == 0) {
-    hardware = 1;  // hardware_concurrency() may legitimately report "unknown".
+    // The calling thread's cpuset, not the machine: under taskset or a container cpuset
+    // only the allowed cores can run shard threads.
+    hardware = AllowedCores().size();
+  }
+  if (hardware == 0) {
+    // The mask is unreadable; hardware_concurrency() may also report "unknown" (0).
+    hardware = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
   return std::max<size_t>(1, std::min(hardware, known_blocks));
 }

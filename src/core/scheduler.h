@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/block/block_manager.h"
-#include "src/block/sharded_block_manager.h"
 #include "src/core/schedule_context.h"
 #include "src/core/task.h"
 #include "src/knapsack/privacy_knapsack.h"
@@ -61,21 +60,6 @@ struct GreedySchedulerOptions {
   // sharded engine (see src/core/async_schedule_engine.h). Applies to any num_shards >= 1;
   // ignored when incremental is false and for FCFS.
   bool async = false;
-  // Block-to-shard assignment of the sharded engines (sharded + async): round-robin, or
-  // 64-block id-range chunks for contiguous per-shard block state (see
-  // src/block/sharded_block_manager.h). A pure locality knob — grants are byte-identical
-  // under either mode. Ignored by the single-shard and recompute paths.
-  BlockPartition partition = BlockPartition::kRoundRobin;
-  // How the async engine's shard threads publish their heap snapshots to the driver:
-  // the lock-free per-shard SPSC ring (the default), or the pre-ring mutex/condvar handoff
-  // (kept for comparison benches). Grants are byte-identical under either. Ignored by the
-  // synchronous engines, which have no publication step.
-  HeapPublishMode publish = HeapPublishMode::kRing;
-  // When set (the default) each async shard thread pins itself to an allowed core at
-  // startup (best-effort: a denied cpuset runs unpinned and counts
-  // stats().pin_failures; see src/common/cpu_affinity.h). Ignored by the synchronous
-  // engines, whose worker pool is owned by the caller's threads.
-  bool pin_threads = true;
 };
 
 class GreedyScheduler : public Scheduler {
@@ -156,14 +140,15 @@ std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta = 0.05
 
 // The single definition of the "num_shards == 0 means auto" convention shared by every
 // shard-count config (OnlineSchedulerConfig, SimConfig, OrchestratorConfig): an explicit
-// request wins verbatim; 0 resolves to the hardware concurrency (at least 1) capped by the
-// blocks known when the driver is built (`known_blocks`; an empty manager resolves to 1,
-// so drivers built before any block arrives — every fresh simulation — keep their
-// scheduler single-shard exactly as an explicit 1 would). OnlineScheduler's constructor is
-// the one resolution point: it rewrites its config with the resolved count, so every
-// downstream reader (snapshot metadata, orchestrator results) sees a value >= 1 and no
-// call site re-interprets 0 ad hoc. `hardware_hint` overrides the queried concurrency so
-// tests pin the rule on every machine; 0 queries std::thread::hardware_concurrency().
+// request wins verbatim; 0 resolves to the calling thread's allowed core count
+// (AllowedCores, so a taskset or container cpuset is honoured; hardware_concurrency only
+// when the mask is unreadable; at least 1) capped by the blocks known when the driver is
+// built (`known_blocks`; an empty manager resolves to 1, so drivers built before any block
+// arrives — every fresh simulation — keep their scheduler single-shard exactly as an
+// explicit 1 would). OnlineScheduler's constructor is the one resolution point: it rewrites
+// its config with the resolved count, so every downstream reader (snapshot metadata,
+// orchestrator results) sees a value >= 1 and no call site re-interprets 0 ad hoc.
+// `hardware_hint` overrides the queried core count so tests pin the rule on every machine.
 size_t ResolveNumShards(size_t requested, size_t known_blocks, size_t hardware_hint = 0);
 
 }  // namespace dpack

@@ -6,19 +6,15 @@
 
 namespace dpack {
 
-ShardedScheduleContext::ShardedScheduleContext(GreedyMetric metric, double eta,
-                                               size_t num_shards, BlockPartition partition)
+ShardedScheduleContext::ShardedScheduleContext(GreedyMetric metric, double eta, size_t num_shards)
     : ShardedScheduleContext(metric, eta, num_shards,
-                             /*pool_workers=*/num_shards >= 1 ? num_shards - 1 : 0,
-                             partition) {}
+                             /*pool_workers=*/num_shards >= 1 ? num_shards - 1 : 0) {}
 
 ShardedScheduleContext::ShardedScheduleContext(GreedyMetric metric, double eta,
-                                               size_t num_shards, size_t pool_workers,
-                                               BlockPartition partition)
+                                               size_t num_shards, size_t pool_workers)
     : metric_(metric),
       eta_(eta),
       num_shards_(num_shards),
-      partition_mode_(partition),
       pool_(pool_workers),
       shards_(num_shards) {
   DPACK_CHECK(eta_ > 0.0);
@@ -51,7 +47,7 @@ void ShardedScheduleContext::BindManager(BlockManager& blocks) {
   DPACK_CHECK_MSG(bound_ == nullptr,
                   "engine already bound to another manager: call Invalidate() first");
   bound_ = &blocks;
-  partition_.emplace(&blocks, num_shards_, partition_mode_);
+  partition_.emplace(&blocks, num_shards_);
   snapshot_.emplace(blocks.grid());
 }
 

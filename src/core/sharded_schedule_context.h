@@ -5,12 +5,10 @@
 // RecomputeScheduleBatch) — pinned by tests/core/incremental_equivalence_test.cc.
 //
 // Partitioning (see src/block/sharded_block_manager.h for the block side):
-//   - Blocks: assigned to shards by the configured BlockPartition (round-robin g mod N, or
-//     64-block id-range chunks for locality). Each shard owns its blocks' dirty detection,
-//     snapshot refreshes, membership signatures, and best-alpha recomputes; all of it
-//     writes only shard-owned entries of the shared, id-indexed arrays, so phases need no
-//     locks. The partition never feeds the merge order, so grants are byte-identical under
-//     either mode.
+//   - Blocks: block g's owner shard is g mod N. Each shard owns its blocks' dirty
+//     detection, snapshot refreshes, membership signatures, and best-alpha recomputes; all
+//     of it writes only shard-owned entries of the shared, id-indexed arrays, so phases
+//     need no locks. The partition never feeds the merge order.
 //   - Tasks: task i's home shard is id mod N. Each shard owns its home tasks' score cache
 //     and score heap — a per-shard ScheduleContext slice — and rescoring reads the shared
 //     capacity snapshot that the block phase published (the pool's join is the barrier).
@@ -76,10 +74,7 @@ class ShardedScheduleContext : public ScheduleEngine {
   // `eta` is DPack's approximation parameter (> 0); `num_shards` >= 1. The pool spawns
   // num_shards - 1 worker threads (the caller is the remaining executor), independent of the
   // core count, so the engine behaves identically — just timesliced — when oversubscribed.
-  // `partition` selects the block-to-shard assignment (grants are byte-identical under
-  // either; see src/block/sharded_block_manager.h).
-  ShardedScheduleContext(GreedyMetric metric, double eta, size_t num_shards,
-                         BlockPartition partition = BlockPartition::kRoundRobin);
+  ShardedScheduleContext(GreedyMetric metric, double eta, size_t num_shards);
 
   // Same cycle protocol as ScheduleContext::ScheduleBatch: immutable pending tasks per id
   // between cycles (late block resolution excepted), the same BlockManager every cycle, all
@@ -97,8 +92,7 @@ class ShardedScheduleContext : public ScheduleEngine {
  protected:
   // Subclass constructor: `pool_workers` is the worker-pool thread count (the async engine
   // passes 0 — it brings its own per-shard threads and never touches the pool).
-  ShardedScheduleContext(GreedyMetric metric, double eta, size_t num_shards,
-                         size_t pool_workers, BlockPartition partition);
+  ShardedScheduleContext(GreedyMetric metric, double eta, size_t num_shards, size_t pool_workers);
   // One shard's slice of the engine: the task-side ScheduleContext state for its home tasks
   // plus scratch for its owned blocks' best-alpha subproblems. Counters accumulate into the
   // engine-wide ScheduleContextStats after every cycle.
@@ -176,7 +170,6 @@ class ShardedScheduleContext : public ScheduleEngine {
   GreedyMetric metric_;
   double eta_;
   size_t num_shards_;
-  BlockPartition partition_mode_;
   ScheduleContextStats stats_;
   uint64_t cycle_stamp_ = 0;
 

@@ -163,6 +163,9 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
   std::thread timekeeper([&] {
     auto unit = std::chrono::duration<double, std::milli>(config_.virtual_unit_wall_ms);
     while (!stop.load(std::memory_order_acquire)) {
+      // Paces simulated wall time, not a liveness budget: an EINTR-short tick only
+      // advances the virtual clock a little early.
+      // dpack-lint: allow(raw-sleep): simulated-wall pacing, not a deadline.
       std::this_thread::sleep_for(unit);
       double now = clock.load(std::memory_order_relaxed) + 1.0;
       clock.store(now, std::memory_order_release);
@@ -177,6 +180,7 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
     for (Task& task : tasks) {
       while (clock.load(std::memory_order_acquire) < task.arrival_time &&
              !stop.load(std::memory_order_acquire)) {
+        // dpack-lint: allow(raw-sleep): re-checked virtual-clock wait, not a deadline.
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
       store.RoundTrip(1);  // Claim creation.
@@ -193,6 +197,7 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
   while (true) {
     double now = clock.load(std::memory_order_acquire);
     if (now < next_cycle) {
+      // dpack-lint: allow(raw-sleep): re-checked virtual-clock wait, not a deadline.
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           config_.virtual_unit_wall_ms / 4.0));
       continue;

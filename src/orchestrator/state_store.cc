@@ -17,6 +17,9 @@ void SimulatedStateStore::RoundTrip(uint64_t ops) {
     return;
   }
   auto total = std::chrono::duration<double, std::micro>(latency_us_ * static_cast<double>(ops));
+  // Simulated API-server latency is a cost model, not a deadline: an EINTR-short sleep
+  // only undercharges one round trip.
+  // dpack-lint: allow(raw-sleep): simulated store latency, not a deadline.
   std::this_thread::sleep_for(total);
 }
 

@@ -1,12 +1,12 @@
 #include "src/service/service_scheduler.h"
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/sleep.h"
 #include "src/core/metrics.h"
 #include "src/core/schedule_context.h"
 #include "src/orchestrator/checkpoint.h"
@@ -93,9 +93,7 @@ void ServiceScheduler::AwaitHello(size_t w) {
                     "worker " << w << " died during the bind handshake");
     DPACK_CHECK_MSG(++polls < config_.stall_budget,
                     "worker " << w << " never answered Bind (stall budget exhausted)");
-    if (config_.poll_sleep_us > 0) {
-      usleep(config_.poll_sleep_us);
-    }
+    SleepFullMicros(config_.poll_sleep_us);
   }
 }
 
@@ -357,9 +355,7 @@ void ServiceScheduler::CollectReplies() {
         RecoverWorker(w);
       }
     }
-    if (config_.poll_sleep_us > 0) {
-      usleep(config_.poll_sleep_us);
-    }
+    SleepFullMicros(config_.poll_sleep_us);
   }
 }
 

@@ -78,59 +78,6 @@ TEST(ShardedBlockManagerTest, AbsorbsOnlineArrivalsIncrementally) {
   EXPECT_EQ(partition.shard_epoch(3), 0u);
 }
 
-TEST(ShardedBlockManagerTest, IdRangePartitionChunksAndDenseLocals) {
-  // Id-range mode assigns 64-block chunks (kRangeChunkShift, aligned to the version tree's
-  // group size) round-robin across shards: blocks [0, 64) → shard 0, [64, 128) → shard 1,
-  // [128, 192) → shard 2, [192, 200) → shard 0.
-  BlockManager blocks(Grid(), kEpsG, kDeltaG);
-  for (int b = 0; b < 200; ++b) {
-    blocks.AddBlock(0.0, /*unlocked=*/true);
-  }
-  ShardedBlockManager partition(&blocks, 3, BlockPartition::kIdRange);
-  EXPECT_EQ(partition.partition(), BlockPartition::kIdRange);
-  EXPECT_EQ(partition.Sync(), 200u);
-
-  EXPECT_EQ(partition.ShardOf(0), 0u);
-  EXPECT_EQ(partition.ShardOf(63), 0u);
-  EXPECT_EQ(partition.ShardOf(64), 1u);
-  EXPECT_EQ(partition.ShardOf(128), 2u);
-  EXPECT_EQ(partition.ShardOf(192), 0u);
-  EXPECT_EQ(partition.shard_members(0).size(), 64u + 8u);
-  EXPECT_EQ(partition.shard_members(1).size(), 64u);
-  EXPECT_EQ(partition.shard_members(2).size(), 64u);
-
-  // Local indices are dense per shard — exactly 0..members-1, matching each member's rank
-  // in the shard's (ascending) member list. The engines' local-indexed buffers (requester
-  // lists) size off members.size() and rely on this.
-  for (size_t s = 0; s < 3; ++s) {
-    const std::vector<BlockId>& members = partition.shard_members(s);
-    for (size_t rank = 0; rank < members.size(); ++rank) {
-      EXPECT_EQ(partition.LocalIndex(members[rank]), rank)
-          << "shard " << s << " member " << members[rank];
-      EXPECT_EQ(partition.ShardOf(members[rank]), s);
-    }
-  }
-}
-
-TEST(ShardedBlockManagerTest, IdRangeVersionSumsTrackTheOwningShard) {
-  BlockManager blocks(Grid(), kEpsG, kDeltaG);
-  for (int b = 0; b < 130; ++b) {
-    blocks.AddBlock(0.0, /*unlocked=*/true);
-  }
-  ShardedBlockManager partition(&blocks, 2, BlockPartition::kIdRange);
-  partition.Sync();
-  partition.Sync();
-  EXPECT_FALSE(partition.shard_dirty(0));
-  EXPECT_FALSE(partition.shard_dirty(1));
-
-  // Block 100 lives in chunk 1 → shard 1; only that shard goes dirty.
-  blocks.block(100).Commit(GaussianCurve(Grid(), 20.0));
-  partition.Sync();
-  EXPECT_FALSE(partition.shard_dirty(0));
-  EXPECT_TRUE(partition.shard_dirty(1));
-  EXPECT_EQ(partition.shard_changed(1), (std::vector<BlockId>{100}));
-}
-
 TEST(ShardedBlockManagerTest, SingleShardOwnsEverything) {
   BlockManager blocks(Grid(), kEpsG, kDeltaG);
   for (int b = 0; b < 5; ++b) {

@@ -85,8 +85,7 @@ TEST(CpuAffinityTest, EngineFallsBackUnpinnedWithCountedFailures) {
       GreedyMetric::kDpack, GreedySchedulerOptions{.eta = 0.05,
                                                    .incremental = true,
                                                    .num_shards = kShards,
-                                                   .async = true,
-                                                   .pin_threads = true});
+                                                   .async = true});
   GreedyScheduler recompute(GreedyMetric::kDpack,
                             GreedySchedulerOptions{.eta = 0.05, .incremental = false});
 

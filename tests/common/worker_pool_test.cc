@@ -5,11 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
+#include "src/common/sleep.h"
 #include "src/common/worker_pool.h"
 
 namespace dpack {
@@ -57,7 +56,7 @@ TEST(WorkerPoolTest, ShutdownWhileWorkersStillParking) {
     // Fewer items than threads: some workers never claim anything.
     pool.ParallelFor(2, [&](size_t) {
       count.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      SleepFullMicros(50);
     });
     EXPECT_EQ(count.load(), 2u);
   }

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/block/block_manager.h"
+#include "src/common/cpu_affinity.h"
 #include "src/core/online_scheduler.h"
 #include "src/core/scheduler.h"
 #include "src/workload/curve_pool.h"
@@ -36,6 +39,26 @@ TEST(NumShardsResolutionTest, AutoNeverResolvesBelowOne) {
   EXPECT_EQ(ResolveNumShards(0, 1, /*hardware_hint=*/8), 1u);
   // hardware_concurrency() may report 0 ("unknown"); the rule still floors at 1.
   EXPECT_GE(ResolveNumShards(0, 5), 1u);
+}
+
+TEST(NumShardsResolutionTest, AutoHonoursTheCallingThreadsCpuset) {
+  // Auto resolves from the allowed cpuset, not the machine's core count: a thread pinned
+  // to one core (as under `taskset -c 0`) resolves to a single shard however many cores
+  // the host has.
+  std::vector<int> allowed = AllowedCores();
+  if (allowed.empty()) {
+    GTEST_SKIP() << "cpuset unreadable on this platform";
+  }
+  EXPECT_EQ(ResolveNumShards(0, 100), std::min<size_t>(allowed.size(), 100));
+  bool pinned = false;
+  size_t resolved = 0;
+  std::thread restricted([&] {
+    pinned = PinCurrentThreadToCore(allowed[0]);
+    resolved = ResolveNumShards(0, 100);
+  });
+  restricted.join();
+  ASSERT_TRUE(pinned);
+  EXPECT_EQ(resolved, 1u);
 }
 
 TEST(NumShardsResolutionTest, DriverConstructorIsTheResolutionPoint) {

@@ -17,6 +17,7 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 VIOLATIONS = {
     "raw_mutex_violation.cc": ("src/common/queue.cc", {"raw-mutex"}),
     "raw_affinity_violation.cc": ("src/core/pinning.cc", {"raw-affinity"}),
+    "raw_sleep_violation.cc": ("src/service/poll.cc", {"raw-sleep"}),
     "unordered_iteration_violation.cc": ("src/core/order.cc", {"unordered-iteration"}),
     "unordered_member_violation.cc": ("src/core/tracker.cc", {"unordered-member"}),
     "nondeterministic_source_violation.cc": ("src/core/jitter.cc",
@@ -52,7 +53,7 @@ class FixtureViolations(unittest.TestCase):
 
     def test_grant_ordering_rules_scoped_to_grant_dirs(self):
         # The same unordered iteration outside src/core|src/block|src/service is not in
-        # scope (the raw-mutex rule is the only tree-wide one).
+        # scope (only the raw-mutex, raw-affinity and raw-sleep rules are tree-wide).
         proc = run_lint("--fixture",
                         os.path.join(FIXTURES, "unordered_iteration_violation.cc"),
                         "--as", "src/workload/order.cc")
@@ -158,6 +159,22 @@ class RealTree(unittest.TestCase):
                 proc = run_lint("--fixture", source, "--as", as_path)
                 self.assertEqual(proc.returncode, 1, proc.stdout)
                 self.assertIn("[raw-affinity]", proc.stdout)
+
+    def test_sleep_helper_is_the_only_raw_sleep_site(self):
+        # The helper's own nanosleep loop, linted as any other path in any covered code
+        # dir, must fire; and the fixture must trip once per call form (usleep, nanosleep,
+        # sleep_for), so no form silently stops matching.
+        source = os.path.join(REPO_ROOT, "src", "common", "sleep.cc")
+        for as_path in ("src/service/poll.cc", "src/orchestrator/pace.cc",
+                        "bench/pace_leg.cc", "tests/common/pace_test.cc",
+                        "examples/pace_demo.cpp"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", source, "--as", as_path)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertIn("[raw-sleep]", proc.stdout)
+        proc = run_lint("--fixture", os.path.join(FIXTURES, "raw_sleep_violation.cc"),
+                        "--as", "tests/common/pace_test.cc")
+        self.assertEqual(proc.stdout.count("[raw-sleep]"), 3, proc.stdout)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
-// Property tests for the snapshot codec (ISSUE 4): randomized cluster states round-trip
-// through both wire encodings bit-exactly, and corrupted inputs — truncations, single-bit
-// flips, wrong versions, edited fields, inconsistent structures — are rejected with a
-// diagnostic, never a crash (the ASan/UBSan CI leg runs this suite) and never a
-// silently-wrong budget (both encodings carry a checksum over the canonical payload).
+// Property tests for the snapshot codec: randomized cluster states round-trip through the
+// binary encoding bit-exactly, and corrupted inputs — truncations, single-bit flips, wrong
+// versions, junk, inconsistent structures — are rejected with a diagnostic, never a crash
+// (the ASan/UBSan CI leg runs this suite) and never a silently-wrong budget (the encoding
+// carries a checksum over the canonical payload).
 
 #include "src/orchestrator/checkpoint.h"
 
@@ -109,24 +109,8 @@ TEST(CheckpointCodecTest, BinaryRoundTripIsByteIdentical) {
   }
 }
 
-TEST(CheckpointCodecTest, JsonRoundTripMatchesBinary) {
-  for (uint64_t seed : {11u, 12u, 13u, 14u, 15u}) {
-    ClusterSnapshot snapshot = RandomSnapshot(seed, 1 + seed % 5, seed % 6);
-    std::string binary = EncodeSnapshotBinary(snapshot);
-    std::string json = EncodeSnapshotJson(snapshot);
-    SnapshotParseResult parsed = DecodeSnapshotJson(json);
-    ASSERT_TRUE(parsed.ok) << "seed=" << seed << ": " << parsed.error;
-    // Cross-codec equivalence: the JSON round trip reconstructs a snapshot whose binary
-    // encoding is byte-identical to the original's — the two formats carry the same state.
-    EXPECT_EQ(EncodeSnapshotBinary(parsed.snapshot), binary) << "seed=" << seed;
-  }
-}
-
-TEST(CheckpointCodecTest, AutoDetectDispatchesOnEncoding) {
-  ClusterSnapshot snapshot = RandomSnapshot(21, 4, 3);
-  EXPECT_TRUE(DecodeSnapshot(EncodeSnapshotBinary(snapshot)).ok);
-  EXPECT_TRUE(DecodeSnapshot(EncodeSnapshotJson(snapshot)).ok);
-  SnapshotParseResult junk = DecodeSnapshot("not a snapshot at all");
+TEST(CheckpointCodecTest, JunkInputIsRejectedWithDiagnostic) {
+  SnapshotParseResult junk = DecodeSnapshotBinary("not a snapshot at all");
   EXPECT_FALSE(junk.ok);
   EXPECT_FALSE(junk.error.empty());
 }
@@ -146,9 +130,7 @@ TEST(CheckpointCodecTest, EmptyClusterRoundTrips) {
   SnapshotParseResult parsed = DecodeSnapshotBinary(encoded);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(EncodeSnapshotBinary(parsed.snapshot), encoded);
-  SnapshotParseResult json = DecodeSnapshotJson(EncodeSnapshotJson(snapshot));
-  ASSERT_TRUE(json.ok) << json.error;
-  EXPECT_TRUE(json.snapshot.blocks.empty());
+  EXPECT_TRUE(parsed.snapshot.blocks.empty());
 }
 
 TEST(CheckpointCodecTest, EveryBinaryTruncationIsRejected) {
@@ -175,20 +157,6 @@ TEST(CheckpointCodecTest, EveryBinaryBitFlipIsRejected) {
   }
 }
 
-TEST(CheckpointCodecTest, EveryJsonBitFlipIsRejected) {
-  // JSON carries no raw payload, but it does carry a checksum over the canonical payload
-  // encoding, so any field edit that survives the parser still fails verification.
-  ClusterSnapshot snapshot = RandomSnapshot(33, 2, 2);
-  std::string json = EncodeSnapshotJson(snapshot);
-  for (size_t byte = 0; byte < json.size(); ++byte) {
-    std::string corrupted = json;
-    corrupted[byte] = static_cast<char>(corrupted[byte] ^ 1);
-    SnapshotParseResult parsed = DecodeSnapshotJson(corrupted);
-    ASSERT_FALSE(parsed.ok) << "byte " << byte << " (" << json[byte] << " -> "
-                            << corrupted[byte] << ")";
-  }
-}
-
 TEST(CheckpointCodecTest, WrongVersionIsRejectedWithDiagnostic) {
   ClusterSnapshot snapshot = RandomSnapshot(34, 2, 2);
   std::string encoded = EncodeSnapshotBinary(snapshot);
@@ -196,35 +164,6 @@ TEST(CheckpointCodecTest, WrongVersionIsRejectedWithDiagnostic) {
   SnapshotParseResult parsed = DecodeSnapshotBinary(encoded);
   ASSERT_FALSE(parsed.ok);
   EXPECT_NE(parsed.error.find("version"), std::string::npos) << parsed.error;
-
-  std::string json = EncodeSnapshotJson(snapshot);
-  size_t pos = json.find("\"version\":2");
-  ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, 11, "\"version\":9");
-  SnapshotParseResult json_parsed = DecodeSnapshotJson(json);
-  ASSERT_FALSE(json_parsed.ok);
-  EXPECT_NE(json_parsed.error.find("version"), std::string::npos) << json_parsed.error;
-}
-
-TEST(CheckpointCodecTest, JsonStructuralCorruptionIsRejected) {
-  ClusterSnapshot snapshot = RandomSnapshot(35, 2, 2);
-  std::string json = EncodeSnapshotJson(snapshot);
-  // Truncations at every prefix length.
-  for (size_t len = 0; len < json.size(); ++len) {
-    ASSERT_FALSE(DecodeSnapshotJson(json.substr(0, len)).ok) << "prefix " << len;
-  }
-  // Unknown key.
-  std::string unknown = json;
-  unknown.insert(1, "\"surprise\":1,");
-  SnapshotParseResult parsed = DecodeSnapshotJson(unknown);
-  ASSERT_FALSE(parsed.ok);
-  EXPECT_NE(parsed.error.find("surprise"), std::string::npos) << parsed.error;
-  // Wrong format tag.
-  std::string wrong_tag = json;
-  size_t tag = wrong_tag.find("dpack-snapshot");
-  ASSERT_NE(tag, std::string::npos);
-  wrong_tag.replace(tag, 14, "dpack-snapshut");
-  EXPECT_FALSE(DecodeSnapshotJson(wrong_tag).ok);
 }
 
 TEST(CheckpointCodecTest, ValidationCatchesInconsistentStates) {
@@ -232,7 +171,7 @@ TEST(CheckpointCodecTest, ValidationCatchesInconsistentStates) {
     std::string error = ValidateSnapshot(snapshot);
     EXPECT_FALSE(error.empty()) << what;
     // An invalid snapshot must also never decode: the encoder will happily frame it, but
-    // both decoders re-validate.
+    // the decoder re-validates.
     SnapshotParseResult parsed = DecodeSnapshotBinary(EncodeSnapshotBinary(snapshot));
     EXPECT_FALSE(parsed.ok) << what;
   };

@@ -159,7 +159,7 @@ TEST(OrchestratorOnlineTest, ShardedSchedulerMatchesMonolithic) {
     ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
     return orchestrator.RunOnline(std::move(tasks));
   };
-  OrchestratorRunResult mono = run(0, false);
+  OrchestratorRunResult mono = run(1, false);
   OrchestratorRunResult sharded = run(3, false);
   OrchestratorRunResult async = run(3, true);
   EXPECT_EQ(sharded.metrics.allocated(), mono.metrics.allocated());
