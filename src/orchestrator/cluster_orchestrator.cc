@@ -202,6 +202,10 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
           config_.virtual_unit_wall_ms / 4.0));
       continue;
     }
+    // Read before the drain: the producer queues every claim before it sets the flag, so a
+    // flag seen here means this drain takes the last claim. Reading it after the cycle
+    // instead could end the run with claims queued after the drain and never submitted.
+    bool producer_finished = producer_done.load(std::memory_order_acquire);
     // Materialize newly arrived blocks and drain the submission queue.
     std::vector<Task> batch;
     size_t release_target = 0;
@@ -251,7 +255,7 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
       ++result.checkpoints_taken;
     }
 
-    if (producer_done.load(std::memory_order_acquire) && now >= end_virtual) {
+    if (producer_finished && now >= end_virtual) {
       break;
     }
   }

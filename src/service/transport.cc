@@ -28,23 +28,22 @@ char* FromWorkerBase(void* region, const TransportConfig& config) {
   return ToWorkerBase(region) + config.ring_bytes;
 }
 
-// True once this child has been reparented — its daemon is gone, so every blocking wait
-// must end rather than spin orphaned. getppid is a pure process-tree read, not a clock.
-bool DaemonGone() { return getppid() == 1; }
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // WorkerEndpoint (child side)
 // ---------------------------------------------------------------------------
 
-WorkerEndpoint::WorkerEndpoint(size_t index, WorkerControlBlock* control, ShmRing in,
-                               ShmRing out, unsigned int poll_sleep_us)
+WorkerEndpoint::WorkerEndpoint(size_t index, pid_t daemon_pid, WorkerControlBlock* control,
+                               ShmRing in, ShmRing out, unsigned int poll_sleep_us)
     : index_(index),
+      daemon_pid_(daemon_pid),
       control_(control),
       in_(in),
       out_(out),
       poll_sleep_us_(poll_sleep_us) {}
+
+bool WorkerEndpoint::DaemonGone() const { return getppid() != daemon_pid_; }
 
 bool WorkerEndpoint::Receive(ServiceMessage* out) {
   std::string frame;
@@ -125,11 +124,14 @@ void ServiceTransport::ForkWorker(size_t w) {
   unsigned int sleep_us = config_.poll_sleep_us;
   const TransportConfig config = config_;
   WorkerBody body = body_;
-  slot.pid = SpawnChild([w, region, ring_bytes, sleep_us, config, body]() {
+  // Recorded before the fork: an orphaned child is reparented to pid 1 OR to the nearest
+  // child subreaper, so only a comparison against the daemon's own pid detects both.
+  pid_t daemon_pid = getpid();
+  slot.pid = SpawnChild([w, daemon_pid, region, ring_bytes, sleep_us, config, body]() {
     auto* control = static_cast<WorkerControlBlock*>(region);
     ShmRing in(ToWorkerBase(region), ring_bytes, /*initialize=*/false);
     ShmRing out(FromWorkerBase(region, config), ring_bytes, /*initialize=*/false);
-    WorkerEndpoint endpoint(w, control, in, out, sleep_us);
+    WorkerEndpoint endpoint(w, daemon_pid, control, in, out, sleep_us);
     return body(endpoint);
   });
   slot.alive = true;

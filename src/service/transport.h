@@ -68,10 +68,16 @@ struct TransportConfig {
 // ServiceTransport; user code receives it through the WorkerBody callback.
 class WorkerEndpoint {
  public:
-  WorkerEndpoint(size_t index, WorkerControlBlock* control, ShmRing in, ShmRing out,
-                 unsigned int poll_sleep_us);
+  // `daemon_pid` is the forking daemon's pid, recorded before the fork.
+  WorkerEndpoint(size_t index, pid_t daemon_pid, WorkerControlBlock* control, ShmRing in,
+                 ShmRing out, unsigned int poll_sleep_us);
 
   size_t index() const { return index_; }
+
+  // True once this child's parent is no longer the daemon that forked it: the daemon died
+  // and the child was reparented (to pid 1 or to a child subreaper), so every blocking wait
+  // must end rather than spin orphaned. getppid is a pure process-tree read, not a clock.
+  bool DaemonGone() const;
 
   // Blocks until one message arrives from the daemon (bumping the heartbeat every poll) and
   // decodes it. Returns false on ring corruption or an undecodable frame — the worker
@@ -89,6 +95,7 @@ class WorkerEndpoint {
 
  private:
   size_t index_;
+  pid_t daemon_pid_;
   WorkerControlBlock* control_;
   ShmRing in_;   // Daemon → worker; this side pops.
   ShmRing out_;  // Worker → daemon; this side pushes.

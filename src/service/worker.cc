@@ -21,6 +21,20 @@ uint32_t HomeShard(TaskId id, uint32_t num_shards) {
   return static_cast<uint32_t>(m);
 }
 
+// Position of `id` in `index` (sorted by id), or index.size() when absent. Tries `hint`
+// first: consecutive batch ids are usually consecutive index entries.
+size_t FindInIndex(const std::vector<std::pair<TaskId, size_t>>& index, TaskId id,
+                   size_t hint) {
+  if (hint < index.size() && index[hint].first == id) {
+    return hint;
+  }
+  auto it = std::lower_bound(index.begin(), index.end(), std::make_pair(id, size_t{0}));
+  if (it == index.end() || it->first != id) {
+    return index.size();
+  }
+  return static_cast<size_t>(it - index.begin());
+}
+
 }  // namespace
 
 void WorkerReplica::ApplyBind(const BindMsg& msg) {
@@ -31,12 +45,26 @@ void WorkerReplica::ApplyBind(const BindMsg& msg) {
   eta_ = msg.eta;
   grid_ = AlphaGrid::Create(msg.alpha_orders);
   snapshot_.emplace(grid_);
-  tasks_.clear();
-  best_alpha_.clear();
+  batch_.clear();
+  batch_index_.clear();
+  arrivals_.clear();
+  ResetMemo();
   needed_stamp_.clear();
   requesters_.clear();
   round_stamp_ = 0;
   bound_ = true;
+}
+
+void WorkerReplica::ResetMemo() {
+  size_t block_count = snapshot_->block_count();
+  best_alpha_.assign(block_count, 0);
+  memo_requesters_.assign(block_count, {});
+}
+
+void WorkerReplica::InvalidateMemo(BlockId block) {
+  if (block >= 0 && static_cast<size_t>(block) < memo_requesters_.size()) {
+    memo_requesters_[static_cast<size_t>(block)].clear();
+  }
 }
 
 void WorkerReplica::ApplyBlockUpsert(const BlockUpsertMsg& msg) {
@@ -49,6 +77,9 @@ void WorkerReplica::ApplyBlockUpsert(const BlockUpsertMsg& msg) {
                                                      << " blocks known");
     snapshot_->Append(RdpCurve(grid_, e.available), RdpCurve(grid_, e.total));
   }
+  size_t block_count = snapshot_->block_count();
+  best_alpha_.resize(block_count, 0);
+  memo_requesters_.resize(block_count);
 }
 
 void WorkerReplica::ApplyBlockRefresh(const BlockRefreshMsg& msg) {
@@ -57,6 +88,7 @@ void WorkerReplica::ApplyBlockRefresh(const BlockRefreshMsg& msg) {
     DPACK_CHECK_MSG(e.id >= 0 && static_cast<size_t>(e.id) < snapshot_->block_count(),
                     "block refresh for unknown id " << e.id);
     snapshot_->RefreshAvailable(static_cast<BlockId>(e.id), RdpCurve(grid_, e.available));
+    InvalidateMemo(static_cast<BlockId>(e.id));
   }
 }
 
@@ -68,8 +100,13 @@ void WorkerReplica::ApplyTaskUpsert(const TaskUpsertMsg& msg) {
     task.blocks.reserve(e.blocks.size());
     for (int64_t b : e.blocks) {
       task.blocks.push_back(static_cast<BlockId>(b));
+      // The new payload may carry an id some memo already lists (a late resolution, or an
+      // id seen in an earlier life), so the id sequence alone cannot prove these memos
+      // fresh. Blocks only the old payload named need no clearing: the id drops out of
+      // their requester sequence, which the sequence check in ScoreRound catches.
+      InvalidateMemo(task.blocks.back());
     }
-    tasks_.insert_or_assign(task.id, std::move(task));
+    arrivals_.insert_or_assign(task.id, std::move(task));
   }
 }
 
@@ -89,10 +126,13 @@ bool WorkerReplica::ApplyState(const StateMsg& msg, std::string* error) {
   // bits the daemon's live manager would yield — cold start and recovery share one format.
   BlockManager restored = RestoreBlockManager(parsed.snapshot, grid_);
   snapshot_.emplace(restored);
-  tasks_.clear();
+  ResetMemo();
+  batch_.clear();
+  batch_index_.clear();
+  arrivals_.clear();
   for (Task& task : RestorePendingTasks(parsed.snapshot, grid_)) {
     TaskId id = task.id;
-    tasks_.insert_or_assign(id, std::move(task));
+    arrivals_.insert_or_assign(id, std::move(task));
   }
   return true;
 }
@@ -102,28 +142,44 @@ ScoreReplyMsg WorkerReplica::ScoreRound(const ScoreRequestMsg& msg) {
   ScoreReplyMsg reply;
   reply.round = msg.round;
 
-  // Rebuild the batch, in batch order, from the payload map.
-  batch_.clear();
-  batch_.reserve(msg.batch_ids.size());
-  for (int64_t id : msg.batch_ids) {
-    auto it = tasks_.find(static_cast<TaskId>(id));
-    DPACK_CHECK_MSG(it != tasks_.end(), "score request references unknown task " << id);
-    batch_.push_back(it->second);
+  // Index the request's ids (sorted, for the next round's lookups). Ids arrive in batch
+  // order, which is usually ascending already; a repeat would hand one payload out twice.
+  next_index_.clear();
+  next_index_.reserve(msg.batch_ids.size());
+  for (size_t k = 0; k < msg.batch_ids.size(); ++k) {
+    next_index_.emplace_back(static_cast<TaskId>(msg.batch_ids[k]), k);
+  }
+  if (!std::is_sorted(next_index_.begin(), next_index_.end())) {
+    std::sort(next_index_.begin(), next_index_.end());
+  }
+  for (size_t k = 1; k < next_index_.size(); ++k) {
+    DPACK_CHECK_MSG(next_index_[k - 1].first != next_index_[k].first,
+                    "score request repeats task " << next_index_[k].first);
   }
 
-  // Drop payloads absent from the batch: a granted or evicted task never reappears, and
-  // the purge keeps replica memory proportional to the live queue. (Ordered map + sorted
-  // id probe: no hash-order dependence anywhere near the scoring path.)
-  std::vector<int64_t> sorted_ids = msg.batch_ids;
-  std::sort(sorted_ids.begin(), sorted_ids.end());
-  for (auto it = tasks_.begin(); it != tasks_.end();) {
-    if (std::binary_search(sorted_ids.begin(), sorted_ids.end(),
-                           static_cast<int64_t>(it->first))) {
-      ++it;
-    } else {
-      it = tasks_.erase(it);
+  // Rebuild the batch, in batch order, by moving payloads: a fresh upsert wins over the
+  // previous batch's copy.
+  next_batch_.clear();
+  next_batch_.reserve(msg.batch_ids.size());
+  size_t hint = 0;
+  for (int64_t raw_id : msg.batch_ids) {
+    TaskId id = static_cast<TaskId>(raw_id);
+    auto arrival = arrivals_.find(id);
+    if (arrival != arrivals_.end()) {
+      next_batch_.push_back(std::move(arrival->second));
+      continue;
     }
+    size_t at = FindInIndex(batch_index_, id, hint);
+    DPACK_CHECK_MSG(at < batch_index_.size(), "score request references unknown task " << id);
+    next_batch_.push_back(std::move(batch_[batch_index_[at].second]));
+    hint = at + 1;
   }
+  // Payloads absent from the batch go with the old vectors: a granted or evicted task
+  // never reappears, so replica memory stays proportional to the live queue.
+  batch_.swap(next_batch_);
+  next_batch_.clear();
+  batch_index_.swap(next_index_);
+  arrivals_.clear();
 
   // The shard set this round assigns to this worker (explicit in the request, so shard
   // reassignment after a crash re-requests the same pure computation from a survivor).
@@ -148,12 +204,12 @@ ScoreReplyMsg WorkerReplica::ScoreRound(const ScoreRequestMsg& msg) {
   std::span<const Task> batch_span(batch_);
   std::span<const size_t> best_alpha_span;
   if (metric_ == GreedyMetric::kDpack) {
-    // Solve best alphas only for blocks some home task requests — but with requester lists
-    // drawn from the FULL batch in batch order, exactly the inputs ComputeBestAlphas feeds
-    // BestAlphaForBlock, so the per-block solutions are bit-identical to the reference.
+    // Best alphas are needed only for blocks some home task requests — but with requester
+    // lists drawn from the FULL batch in batch order, exactly the inputs ComputeBestAlphas
+    // feeds BestAlphaForBlock, so the per-block solutions are bit-identical to the
+    // reference.
     ++round_stamp_;
     size_t block_count = snapshot_->block_count();
-    best_alpha_.assign(block_count, 0);
     needed_stamp_.resize(block_count, 0);
     requesters_.resize(block_count);
     std::vector<BlockId> needed;
@@ -179,10 +235,27 @@ ScoreReplyMsg WorkerReplica::ScoreRound(const ScoreRequestMsg& msg) {
         }
       }
     }
+    // Memo rule: reuse a block's solution only if no refresh, upsert, task upsert naming
+    // it, bind or state has cleared it since the solve, AND its requester ids match the
+    // solve's in batch order. The payload behind each id is then unchanged too, so
+    // BestAlphaForBlock would read exactly the same inputs.
     for (BlockId j : needed) {
-      best_alpha_[static_cast<size_t>(j)] =
-          BestAlphaForBlock(batch_span, requesters_[static_cast<size_t>(j)],
-                            snapshot_->available(j), eta_);
+      size_t b = static_cast<size_t>(j);
+      const std::vector<size_t>& requesters = requesters_[b];
+      std::vector<TaskId>& memo_ids = memo_requesters_[b];
+      bool hit = !memo_ids.empty() && memo_ids.size() == requesters.size();
+      for (size_t k = 0; hit && k < requesters.size(); ++k) {
+        hit = batch_[requesters[k]].id == memo_ids[k];
+      }
+      if (hit) {
+        continue;
+      }
+      best_alpha_[b] = BestAlphaForBlock(batch_span, requesters, snapshot_->available(j), eta_);
+      ++best_alpha_solves_;
+      memo_ids.clear();
+      for (size_t i : requesters) {
+        memo_ids.push_back(batch_[i].id);
+      }
     }
     best_alpha_span = std::span<const size_t>(best_alpha_);
   }
@@ -229,7 +302,8 @@ int ServiceWorkerMain(WorkerEndpoint& endpoint) {
       return 2;  // ScoreReply/Hello arriving at a worker is a protocol violation.
     }
   }
-  return 2;  // Corrupt inbound ring, undecodable frame, or orphaned by a dead daemon.
+  // Orphaned by a dead daemon (exit 3), or a corrupt inbound ring / undecodable frame.
+  return endpoint.DaemonGone() ? 3 : 2;
 }
 
 }  // namespace dpack

@@ -3,9 +3,12 @@
 // must stay byte-identical to the uninterrupted service run AND to the in-process engine.
 // Also: a hung (SIGSTOPped) worker is detected by heartbeat stall and recovered; and the
 // checkpoint codec resumes a killed service run on an entirely fresh fleet with the
-// stitched trace equal to the uninterrupted one.
+// stitched trace equal to the uninterrupted one. And a worker whose daemon is killed exits
+// instead of spinning orphaned, even when a child subreaper (not pid 1) adopts it.
 
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <algorithm>
@@ -14,10 +17,13 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/sleep.h"
 #include "src/common/subprocess.h"
 #include "src/core/scheduler.h"
 #include "src/orchestrator/checkpoint.h"
 #include "src/service/grant_service.h"
+#include "src/service/transport.h"
+#include "src/service/worker.h"
 #include "src/sim/service_sim.h"
 #include "src/sim/sim_driver.h"
 #include "src/workload/curve_pool.h"
@@ -228,6 +234,54 @@ TEST(ServiceRecoveryTest, CheckpointResumesOnFreshFleet) {
   EXPECT_EQ(resumed.sim.metrics.allocated(), reference.metrics.allocated());
   EXPECT_EQ(resumed.counters.recoveries, 1u);
   EXPECT_EQ(resumed.counters.respawns, 1u);
+}
+
+// Under a child subreaper (systemd user sessions, process supervisors) an orphaned worker is
+// reparented to the subreaper, not to pid 1. The worker must still notice that its daemon
+// died and exit with the lost-daemon status, within a bounded wait.
+TEST(ServiceRecoveryTest, OrphanedWorkerExitsUnderSubreaper) {
+  ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0), 0);
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  // An intermediate daemon process forks one worker, reports its pid, then waits to die.
+  pid_t daemon = SpawnChild([&fds]() -> int {
+    close(fds[0]);
+    TransportConfig config;
+    config.num_workers = 1;
+    ServiceTransport transport(config, [](WorkerEndpoint& e) { return ServiceWorkerMain(e); });
+    transport.Start();
+    pid_t worker = transport.pid(0);
+    if (write(fds[1], &worker, sizeof(worker)) != static_cast<ssize_t>(sizeof(worker))) {
+      return 1;
+    }
+    while (true) {
+      pause();
+    }
+  });
+  close(fds[1]);
+  pid_t worker = -1;
+  ASSERT_EQ(read(fds[0], &worker, sizeof(worker)), static_cast<ssize_t>(sizeof(worker)));
+  close(fds[0]);
+
+  KillChild(daemon, SIGKILL);
+  ASSERT_EQ(WaitChild(daemon).state, ChildState::kSignaled);
+
+  // The worker now belongs to this process. Allow it 10 s (20000 polls of 500 us).
+  ChildStatus status;
+  for (int polls = 0; polls < 20000; ++polls) {
+    status = PollChild(worker);
+    if (status.state != ChildState::kRunning) {
+      break;
+    }
+    SleepFullMicros(500);
+  }
+  if (status.state == ChildState::kRunning) {
+    KillChild(worker, SIGKILL);
+    WaitChild(worker);
+  }
+  prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0);
+  ASSERT_EQ(status.state, ChildState::kExited) << "the worker never saw its daemon die";
+  EXPECT_EQ(status.exit_code, 3);
 }
 
 }  // namespace
