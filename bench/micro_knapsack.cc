@@ -1,7 +1,8 @@
-// Component microbenchmarks (google-benchmark): single-dimension knapsack solvers and the
-// exact privacy-knapsack branch-and-bound. Quantifies the solver choices DESIGN.md calls
-// out: the max-cardinality fast path vs FPTAS vs greedy, FPTAS cost vs eta, and the B&B's
-// growth with instance size.
+// Component microbenchmarks (google-benchmark): single-dimension knapsack solvers, the
+// best-alpha kernel, and the exact privacy-knapsack branch-and-bound. Quantifies the solver
+// choices src/knapsack/single_dim.h and src/README.md ("Best-alpha kernel") describe: the
+// max-cardinality fast path vs FPTAS vs greedy, one block's COMPUTE_BESTALPHA with equal
+// and with mixed weights, FPTAS cost vs eta, and the B&B's growth with instance size.
 
 #include <benchmark/benchmark.h>
 
@@ -52,6 +53,36 @@ void BM_ExactSingleDim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactSingleDim)->Arg(20)->Arg(50)->Arg(100);
+
+// One block's COMPUTE_BESTALPHA over n requesters on the default grid. Demands are uniform
+// in [0, 1) per order and every order holds 0.05 n, so about a third of the requesters fit
+// and every order is solved (no order fits them all).
+void BestAlphaForBlockBench(benchmark::State& state, bool uniform_weights) {
+  AlphaGridPtr grid = AlphaGrid::Default();
+  size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(6);
+  std::vector<Task> tasks;
+  std::vector<size_t> requesters;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> demand(grid->size());
+    for (double& d : demand) {
+      d = rng.Uniform(0.0, 1.0);
+    }
+    tasks.emplace_back(static_cast<TaskId>(i), uniform_weights ? 1.0 : rng.Uniform(1.0, 100.0),
+                       RdpCurve(grid, std::move(demand)));
+    requesters.push_back(i);
+  }
+  RdpCurve available(grid, std::vector<double>(grid->size(), 0.05 * static_cast<double>(n)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BestAlphaForBlock(tasks, requesters, available, 0.05));
+  }
+}
+
+void BM_BestAlphaForBlockUniform(benchmark::State& state) { BestAlphaForBlockBench(state, true); }
+BENCHMARK(BM_BestAlphaForBlockUniform)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_BestAlphaForBlockWeighted(benchmark::State& state) { BestAlphaForBlockBench(state, false); }
+BENCHMARK(BM_BestAlphaForBlockWeighted)->Arg(100)->Arg(1000)->Arg(10000);
 
 PkInstance RandomInstance(size_t tasks, size_t blocks, size_t orders, uint64_t seed) {
   Rng rng(seed);

@@ -158,22 +158,53 @@ size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> re
     }
     return best;
   }
+  std::vector<size_t> usable;
+  for (size_t a = 0; a < num_orders; ++a) {
+    if (available.epsilon(a) > 0.0) {
+      usable.push_back(a);
+    }
+  }
+  double weight = tasks[requesters.front()].weight;
+  bool uniform = std::all_of(requesters.begin(), requesters.end(),
+                             [&](size_t i) { return tasks[i].weight == weight; });
   double best_value = -1.0;
   size_t best = 0;
-  std::vector<KnapsackItem> items;
-  items.reserve(requesters.size());
-  for (size_t a = 0; a < num_orders; ++a) {
-    if (available.epsilon(a) <= 0.0) {
-      continue;
+  if (uniform) {
+    // Exact max-cardinality at every usable order. Each requester's curve is read once into
+    // order-major columns the kernel then reorders in place; call-local, since pool threads
+    // solve blocks concurrently.
+    size_t n = requesters.size();
+    std::vector<double> columns(usable.size() * n);
+    for (size_t r = 0; r < n; ++r) {
+      const std::vector<double>& demand = tasks[requesters[r]].demand.epsilons();
+      for (size_t u = 0; u < usable.size(); ++u) {
+        columns[u * n + r] = demand[usable[u]];
+      }
     }
-    items.clear();
-    for (size_t i : requesters) {
-      items.push_back({tasks[i].weight, tasks[i].demand.epsilon(a)});
+    for (size_t u = 0; u < usable.size(); ++u) {
+      CardinalityValue value = MaxCardinalityValue(std::span(columns).subspan(u * n, n), weight,
+                                                   available.epsilon(usable[u]));
+      if (value.total_profit > best_value) {
+        best_value = value.total_profit;
+        best = usable[u];
+      }
+      if (value.count == n) {
+        break;  // Every requester fits: no later order can score strictly more.
+      }
     }
-    KnapsackSolution sol = SolveSingleBlock(items, available.epsilon(a), 2.0 / 3.0 * eta);
-    if (sol.total_profit > best_value) {
-      best_value = sol.total_profit;
-      best = a;
+  } else {
+    std::vector<KnapsackItem> items;
+    items.reserve(requesters.size());
+    for (size_t a : usable) {
+      items.clear();
+      for (size_t i : requesters) {
+        items.push_back({tasks[i].weight, tasks[i].demand.epsilon(a)});
+      }
+      KnapsackSolution sol = SolveSingleBlock(items, available.epsilon(a), 2.0 / 3.0 * eta);
+      if (sol.total_profit > best_value) {
+        best_value = sol.total_profit;
+        best = a;
+      }
     }
   }
   if (best_value < 0.0) {

@@ -79,10 +79,14 @@ std::vector<size_t> ComputeBestAlphas(std::span<const Task> tasks,
                                       const CapacitySnapshot& snapshot, double eta);
 
 // One block's COMPUTE_BESTALPHA subproblem: `requesters` indexes into `tasks` the pending
-// tasks requesting the block, in batch order. Returns the order maximizing the (approximate)
-// attainable weight against `available`; the largest-capacity order when `requesters` is
-// empty; order 0 when every order is depleted. Both ComputeBestAlphas and the incremental
-// engine call this, so cached and recomputed best alphas are identical by construction.
+// tasks requesting the block, in batch order. Returns the first usable order maximizing the
+// (approximate) attainable weight against `available`; the largest-capacity order when
+// `requesters` is empty; order 0 when every order is depleted. Equal weights (both paper
+// workloads) take the exact profit-only MaxCardinalityValue kernel and stop at the first
+// order where every requester fits; mixed weights take SolveSingleBlock's FPTAS at every
+// usable order. ComputeBestAlphas, the incremental, sharded and async engines and the
+// service's worker replicas all call this, so cached and recomputed best alphas are
+// identical by construction. Thread-safe: all scratch is call-local.
 size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> requesters,
                          const RdpCurve& available, double eta);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -75,6 +76,68 @@ KnapsackSolution MaxCardinalityKnapsack(std::span<const KnapsackItem> items, dou
   }
   std::sort(solution.selected.begin(), solution.selected.end());
   return solution;
+}
+
+CardinalityValue MaxCardinalityValue(std::span<double> demands, double profit, double capacity) {
+  DPACK_CHECK_MSG(profit >= 0.0, "profits must be non-negative");
+  // A demand above capacity never fits (used + d >= d for non-negative used and d), so
+  // only the rest is searched.
+  double* first = demands.data();
+  double* last = first;
+  for (double d : demands) {
+    DPACK_CHECK_MSG(d >= 0.0, "demands must be non-negative");
+    if (d <= capacity) {
+      *last++ = d;
+    }
+  }
+  // Quickselect on the running sum. [first, lo) and [first, cut) each hold the smallest
+  // demands. By an unordered sum, [first, lo) fits, and [first, cut) overflows unless
+  // cut == last. These sums only steer the search; the walk below is exact.
+  constexpr ptrdiff_t kSortCutoff = 32;
+  double* lo = first;
+  double* cut = last;
+  double below = 0.0;
+  while (cut - lo > kSortCutoff) {
+    double a = *lo;
+    double b = lo[(cut - lo) / 2];
+    double c = cut[-1];
+    double pivot = std::max(std::min(a, b), std::min(std::max(a, b), c));
+    double* mid = std::partition(lo, cut, [pivot](double d) { return d < pivot; });
+    if (mid == lo) {
+      // The pivot is the range minimum: split off its ties instead.
+      mid = std::partition(lo, cut, [pivot](double d) { return d <= pivot; });
+      if (mid == cut) {
+        break;  // Every demand left is equal.
+      }
+    }
+    double sum = std::accumulate(lo, mid, below);
+    if (sum <= capacity) {
+      below = sum;
+      lo = mid;
+    } else {
+      cut = mid;
+    }
+  }
+  // MaxCardinalityKnapsack's walk over the smallest demands in ascending order. If all of
+  // [first, cut) fits after all (rounding), the rest is sorted and walked as well.
+  CardinalityValue value;
+  double used = 0.0;
+  auto walk = [&](double* begin, double* end) {
+    std::sort(begin, end);
+    for (double* d = begin; d != end; ++d) {
+      if (!(used + *d <= capacity)) {
+        return false;  // Ascending order: nothing further fits either.
+      }
+      used += *d;
+      value.total_profit += profit;
+      ++value.count;
+    }
+    return true;
+  };
+  if (walk(first, cut)) {
+    walk(cut, last);
+  }
+  return value;
 }
 
 KnapsackSolution GreedyDensityKnapsack(std::span<const KnapsackItem> items, double capacity) {

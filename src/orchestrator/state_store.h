@@ -1,5 +1,5 @@
 // A simulated cluster state store standing in for the Kubernetes API server / etcd used by
-// the paper's PrivateKube deployment (§6.4; see DESIGN.md, substitution 2).
+// the paper's PrivateKube deployment (§6.4).
 //
 // PrivateKube represents tasks ("claims") and privacy blocks as custom resources; every
 // scheduling decision costs API-server round trips, and the paper reports that these system

@@ -1,5 +1,5 @@
 // Alibaba-DP: the paper's macrobenchmark derived from the Alibaba 2022 GPU cluster trace
-// (§6.3), reproduced here as a seeded synthetic generator (see DESIGN.md, substitution 3).
+// (§6.3), reproduced here as a seeded synthetic generator.
 //
 // Mapping (as in the paper):
 //   machine type (CPU/GPU)   -> mechanism family: CPU tasks draw from {Laplace, Gaussian,

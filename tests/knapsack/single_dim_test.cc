@@ -1,5 +1,6 @@
 #include "src/knapsack/single_dim.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -196,6 +197,41 @@ TEST_P(SingleDimPropertyTest, MaxCardinalityIsOptimalForUniformProfits) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SingleDimPropertyTest, testing::Range<uint64_t>(1, 13));
+
+// The profit-only kernel must match MaxCardinalityKnapsack's profit bit for bit and its
+// selection size exactly. Demands repeat to force ties, and capacities sit on an ascending
+// prefix sum or one ulp either side of it, where the summation order decides the answer.
+TEST(MaxCardinalityValueTest, MatchesMaxCardinalityKnapsack) {
+  const std::vector<double> palette = {0.0, 0.1, 0.2, 0.3, 0.7, 1e-17, 1.0 / 3.0, 0.125};
+  Rng rng(17);
+  for (int trial = 0; trial < 4000; ++trial) {
+    size_t n = static_cast<size_t>(rng.UniformInt(1, 400));
+    double profit = trial % 7 == 0 ? 0.0 : rng.Uniform(0.5, 3.0);
+    std::vector<KnapsackItem> items;
+    std::vector<double> demands;
+    for (size_t i = 0; i < n; ++i) {
+      double d = rng.Bernoulli(0.5)
+                     ? palette[static_cast<size_t>(rng.UniformInt(0, palette.size() - 1))]
+                     : rng.Uniform(0.0, 1.0);
+      items.push_back({profit, d});
+      demands.push_back(d);
+    }
+    std::vector<double> sorted = demands;
+    std::sort(sorted.begin(), sorted.end());
+    double prefix = 0.0;
+    for (size_t i = 0, k = static_cast<size_t>(rng.UniformInt(0, n)); i < k; ++i) {
+      prefix += sorted[i];
+    }
+    double capacity = trial % 4 == 0   ? prefix
+                      : trial % 4 == 1 ? std::nextafter(prefix, 0.0)
+                      : trial % 4 == 2 ? std::nextafter(prefix, 2.0 * prefix + 1.0)
+                                       : rng.Uniform(0.0, 1.2 * prefix + 0.1);
+    KnapsackSolution sol = MaxCardinalityKnapsack(items, capacity);
+    CardinalityValue value = MaxCardinalityValue(demands, profit, capacity);
+    ASSERT_EQ(value.count, sol.selected.size()) << "trial " << trial;
+    ASSERT_EQ(value.total_profit, sol.total_profit) << "trial " << trial;
+  }
+}
 
 }  // namespace
 }  // namespace dpack
