@@ -158,11 +158,11 @@ void RunIncrementalComparison(Scale scale) {
               std::to_string(num_tasks) + " pending tasks, 5% blocks dirty per cycle)");
 }
 
-// --- Shard-count sweep (sharded engine on the same steady-state regime) -------------------
+// --- Shard-count sweep (the incremental engine on the same steady-state regime) -----------
 //
-// ShardedScheduleContext partitions blocks and tasks across N shards and rescoring across a
-// worker pool; grants are byte-identical to the single-shard engine (pinned by the sharded
-// differential suite). This sweep reports per-cycle cost per shard count and the speedup
+// ScheduleContext partitions blocks and tasks across N shards and rescoring across a worker
+// pool; grants are byte-identical for every shard count (pinned by the differential
+// suites). This sweep reports per-cycle cost per shard count and the speedup
 // over 1 shard. The parallel phases scale with the cores actually available — a single-core
 // host measures only the pool's coordination overhead.
 
@@ -188,7 +188,7 @@ void RunShardSweep(Scale scale) {
         .Add(FormatDouble(ms4))
         .Add(FormatDouble(ms1 / ms4));
   }
-  table.Print("Fig. 5 addendum: per-cycle cost vs shard count, sharded engine (" +
+  table.Print("Fig. 5 addendum: per-cycle cost vs shard count, incremental engine (" +
               std::to_string(num_tasks) + " pending tasks, 5% blocks dirty per cycle)");
 }
 

@@ -70,7 +70,7 @@ constexpr int kSteadyIterations = 60;  // 3 full rotations of the dirty-block cu
 void ReportEngineCounters(benchmark::State& state, const GreedyScheduler& scheduler,
                           const ScheduleContextStats& at_entry,
                           bool include_ring = false) {
-  const ScheduleEngine* engine = scheduler.engine();
+  const ScheduleContext* engine = scheduler.engine();
   if (engine == nullptr || state.iterations() == 0) {
     return;
   }
@@ -177,10 +177,10 @@ BENCHMARK(BM_AreaSteadyRecompute)
 
 // --- Shard-count sweep (sharded + async engines, same steady-state regime) ----------------
 //
-// Args: {pending tasks, num_shards}. num_shards = 1 runs the single-shard ScheduleContext
-// (sync) or one scheduler thread (async); higher counts run the fork-join worker pool
-// (sync) or the persistent per-shard scheduler threads with snapshot publication (async).
-// Same grants by construction — see the sharded and async differential suites. The speedup
+// Args: {pending tasks, num_shards}. The sync legs start at 2 shards: one sync shard is
+// exactly the BM_*SteadyIncremental/1000 configuration above. Async runs one scheduler
+// thread per shard from 1 up; sync runs the fork-join worker pool. Same grants by
+// construction — see the differential suites. The speedup
 // scales with the cores actually available — on a single-core host the sweep only measures
 // each driver's coordination overhead (two barriers per cycle for sync, dispatch + one
 // fence + publication for async).
@@ -216,7 +216,6 @@ void BM_DpackSteadySharded(benchmark::State& state) {
   RunSteadyStateEngine(state, GreedyMetric::kDpack, /*async=*/false);
 }
 BENCHMARK(BM_DpackSteadySharded)
-    ->Args({1000, 1})
     ->Args({1000, 2})
     ->Args({1000, 4})
     ->Iterations(kSteadyIterations)
@@ -226,7 +225,6 @@ void BM_DpfSteadySharded(benchmark::State& state) {
   RunSteadyStateEngine(state, GreedyMetric::kDpf, /*async=*/false);
 }
 BENCHMARK(BM_DpfSteadySharded)
-    ->Args({1000, 1})
     ->Args({1000, 2})
     ->Args({1000, 4})
     ->Iterations(kSteadyIterations)
@@ -236,7 +234,6 @@ void BM_AreaSteadySharded(benchmark::State& state) {
   RunSteadyStateEngine(state, GreedyMetric::kArea, /*async=*/false);
 }
 BENCHMARK(BM_AreaSteadySharded)
-    ->Args({1000, 1})
     ->Args({1000, 2})
     ->Args({1000, 4})
     ->Iterations(kSteadyIterations)

@@ -69,8 +69,8 @@ class PrivacyBlock {
   // capacity: each Commit and each *effective* unlock increase (SetUnlockedFraction calls
   // that do not raise the fraction leave it untouched). Invariant: equal versions observed
   // at two points in time imply bit-identical AvailableCurve() results, which is what lets
-  // the incremental scheduling engine (ScheduleContext) skip rescoring tasks whose blocks
-  // did not change between cycles.
+  // the incremental scheduling engine (ScheduleContext, at any shard count) skip rescoring
+  // tasks whose blocks did not change between cycles.
   uint64_t version() const { return version_; }
 
   // Attaches the version tree every future bump is reported to (nullptr detaches). Owned by

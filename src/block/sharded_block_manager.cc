@@ -19,7 +19,7 @@ size_t ShardedBlockManager::Sync() {
   }
   // Per-shard version-sum deltas accumulated this Sync (applied with one release store
   // each, keeping "shard version == sum of member versions" exact).
-  std::vector<uint64_t> delta(shards_.size(), 0);
+  delta_.assign(shards_.size(), 0);
 
   size_t added = count - known_;
   last_block_version_.resize(count, 0);
@@ -33,7 +33,7 @@ size_t ShardedBlockManager::Sync() {
     // restored manager) so the group drill-down below does not re-report arrivals.
     uint64_t version = blocks_->block(static_cast<BlockId>(g)).version();
     last_block_version_[g] = version;
-    delta[ShardOf(static_cast<BlockId>(g))] += version;
+    delta_[ShardOf(static_cast<BlockId>(g))] += version;
   }
   known_ = count;
 
@@ -55,7 +55,7 @@ size_t ShardedBlockManager::Sync() {
         continue;
       }
       size_t s = ShardOf(static_cast<BlockId>(i));
-      delta[s] += version - last_block_version_[i];
+      delta_[s] += version - last_block_version_[i];
       last_block_version_[i] = version;
       shards_[s].changed.push_back(static_cast<BlockId>(i));
       shards_[s].dirty = true;
@@ -63,8 +63,8 @@ size_t ShardedBlockManager::Sync() {
   }
 
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (delta[s] != 0) {
-      shards_[s].version.store(shards_[s].version.load(std::memory_order_relaxed) + delta[s],
+    if (delta_[s] != 0) {
+      shards_[s].version.store(shards_[s].version.load(std::memory_order_relaxed) + delta_[s],
                                std::memory_order_release);
     }
   }

@@ -51,6 +51,10 @@ class ShardedBlockManager {
 
   BlockManager& manager() { return *blocks_; }
   const BlockManager& manager() const { return *blocks_; }
+  // Points the partition at `blocks`, which must carry the state the last Sync() saw plus
+  // later changes (the same manager, or a Clone of it: Clone keeps the epoch, the versions
+  // and the version tree, which is all Sync() compares against).
+  void Rebind(BlockManager* blocks) { blocks_ = blocks; }
 
   size_t num_shards() const { return shards_.size(); }
   size_t ShardOf(BlockId id) const {
@@ -116,6 +120,9 @@ class ShardedBlockManager {
   std::vector<uint64_t> last_block_version_;
   // Version-tree group sums at the last Sync — the drill-down filter.
   std::vector<uint64_t> group_seen_;
+  // Per-shard version-sum deltas of the running Sync (scratch, kept to avoid a per-call
+  // allocation).
+  std::vector<uint64_t> delta_;
 };
 
 }  // namespace dpack

@@ -6,8 +6,9 @@
 namespace dpack {
 
 AsyncScheduleEngine::AsyncScheduleEngine(GreedyMetric metric, double eta, size_t num_shards)
-    : ShardedScheduleContext(metric, eta, num_shards, /*pool_workers=*/0),
+    : ScheduleContext(metric, eta, num_shards, /*pool_workers=*/0),
       ring_stamps_(num_shards),
+      early_(num_shards),
       late_(num_shards) {
   rings_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
@@ -63,7 +64,6 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
     seen = dispatch_seq_;
     std::span<const Task> pending = cycle_pending_;
     const BlockManager* blocks = cycle_blocks_;
-    size_t refresh_limit = cycle_refresh_limit_;
     uint64_t previous_cycle = cycle_previous_;
     lock.Unlock();
 
@@ -75,7 +75,7 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
     stamp.version = partition_->shard_version(s);
 
     // Phase 2 body: refresh owned blocks (shard-owned writes only).
-    SyncShardBlocks(s, *blocks, pending, refresh_limit);
+    SyncShardBlocks(s, *blocks, pending);
 
     // Early score pass, before the refresh fence: tasks whose inputs this shard already
     // owns. DPF reads only total capacities (immutable after the sequential arrival
@@ -83,32 +83,32 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
     // whose block list lives entirely in this shard do (their snapshot entries, dirty
     // flags, and best alphas were finalized by this thread's own refresh).
     ShardContext& shard = shards_[s];
+    std::vector<size_t>& early = early_[s];
     std::vector<size_t>& late = late_[s];
+    early.clear();
     late.clear();
+    for (size_t i : shard.home) {
+      if (metric_ == GreedyMetric::kDpf || AllBlocksHome(pending[i], s)) {
+        early.push_back(i);
+      } else {
+        late.push_back(i);
+      }
+    }
     if (metric_ != GreedyMetric::kDpf) {
       // This shard's own dirty list is complete (its refresh above, plus the arrivals the
       // driver appended before dispatch): mark its home tasks stale before the early pass.
       // That covers every early-eligible task — all of its blocks live in this shard, so no
       // foreign dirty list can affect its score. Foreign lists are walked after the fence.
-      if (shard.rindex.size() < last_version_.size()) {
-        shard.rindex.resize(last_version_.size());
+      if (shard.rindex.size() < version_now_.size()) {
+        shard.rindex.resize(version_now_.size());
       }
       MarkStaleShardTasks(shard, shard.dirty_ids, previous_cycle);
     }
-    shard.slots_moved |= shard.cache.Reserve(shard.task_indices.size());
-    bool scoring_ok = true;
-    for (size_t i : shard.task_indices) {
-      if (metric_ == GreedyMetric::kDpf || AllBlocksHome(pending[i], s)) {
-        uint64_t rescored_before = shard.partial.tasks_rescored;
-        if (!ScoreOneTask(shard, pending, i, previous_cycle)) {
-          scoring_ok = false;  // Duplicate id; flag is set, batch will fall back.
-          break;
-        }
-        shard.partial.async_early_scores += shard.partial.tasks_rescored - rescored_before;
-      } else {
-        late.push_back(i);
-      }
-    }
+    shard.slots_moved |= shard.cache.Reserve(shard.home.size());
+    uint64_t rescored_before = shard.partial.tasks_rescored;
+    // False on a duplicate id: the flag is set and the batch will fall back.
+    bool scoring_ok = ScoreTasks(shard, pending, early, previous_cycle);
+    shard.partial.async_early_scores += shard.partial.tasks_rescored - rescored_before;
 
     // Refresh fence: every shard's phase-2 writes must happen-before any cross-shard
     // scoring reads. The last thread through releases the others.
@@ -134,15 +134,7 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
         }
       }
     }
-    if (scoring_ok) {
-      for (size_t i : late) {
-        if (!ScoreOneTask(shard, pending, i, previous_cycle)) {
-          scoring_ok = false;
-          break;
-        }
-      }
-    }
-    if (scoring_ok && !shard.duplicate) {
+    if (scoring_ok && ScoreTasks(shard, pending, late, previous_cycle)) {
       MergeShardHeap(shard);
     }
 
@@ -166,13 +158,12 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
 }
 
 bool AsyncScheduleEngine::RunPhases(std::span<const Task> pending, const BlockManager& blocks,
-                                    size_t refresh_limit, uint64_t previous_cycle) {
+                                    uint64_t previous_cycle) {
   uint64_t seq = 0;
   {
     MutexLock lock(mu_);
     cycle_pending_ = pending;
     cycle_blocks_ = &blocks;
-    cycle_refresh_limit_ = refresh_limit;
     cycle_previous_ = previous_cycle;
     refresh_done_ = 0;
     seq = ++dispatch_seq_;

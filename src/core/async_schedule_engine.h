@@ -1,15 +1,15 @@
-// Async scheduling engine (the ROADMAP's "async per-shard scheduler threads" item): the
-// continuously-concurrent successor of ShardedScheduleContext's fork-join cycle. One
-// persistent scheduler thread per shard watches for work against its shard's (epoch,
-// version) clocks in ShardedBlockManager (lock-free atomic reads), rescores its home tasks,
-// and publishes a freshest-heap snapshot; a scheduling cycle then only performs the
-// deterministic N-way heap merge + sequential CANRUN walk over the published snapshots.
-// Grants are byte-identical to the synchronous sharded engine (and hence to the single-
-// shard engine and RecomputeScheduleBatch) — pinned by the async differential traces in
+// Async scheduling engine: the ScheduleContext subclass that replaces its fork-join cycle
+// with continuously-running shard threads. One persistent scheduler thread per shard
+// watches for work against its shard's (epoch, version) clocks in ShardedBlockManager
+// (lock-free atomic reads), rescores its home tasks, and publishes a freshest-heap
+// snapshot; a scheduling cycle then only performs the deterministic N-way heap merge +
+// sequential CANRUN walk over the published snapshots.
+// Grants are byte-identical to the synchronous engine at any shard count (and hence to
+// RecomputeScheduleBatch) — pinned by the async differential traces in
 // tests/core/incremental_equivalence_test.cc and raced by tests/core/async_engine_soak_test.
 //
-// Publication protocol (overrides ShardedScheduleContext::RunPhases; the phase *bodies*
-// are the shared single-definition steps of the base class):
+// Publication protocol (overrides ScheduleContext::RunPhases; the phase *bodies* are the
+// base class's):
 //
 //   dispatch   The driver thread finishes the sequential prologue (ShardedBlockManager::
 //              Sync absorbs arrivals and advances the atomic per-shard clocks; the batch is
@@ -72,20 +72,20 @@
 
 #include "src/common/spsc_ring.h"
 #include "src/common/thread_annotations.h"
-#include "src/core/sharded_schedule_context.h"
+#include "src/core/schedule_context.h"
 
 namespace dpack {
 
-class AsyncScheduleEngine : public ShardedScheduleContext {
+class AsyncScheduleEngine : public ScheduleContext {
  public:
   // Spawns `num_shards` persistent scheduler threads (>= 1). Same cycle protocol as the
-  // synchronous engines; the caller must not run ScheduleBatch concurrently with itself.
+  // synchronous engine; the caller must not run ScheduleBatch concurrently with itself.
   AsyncScheduleEngine(GreedyMetric metric, double eta, size_t num_shards);
   ~AsyncScheduleEngine() override;
 
  protected:
   bool RunPhases(std::span<const Task> pending, const BlockManager& blocks,
-                 size_t refresh_limit, uint64_t previous_cycle) override;
+                 uint64_t previous_cycle) override;
 
  private:
   // A shard thread's lock-free clock reading at work start, revalidated at publication.
@@ -110,11 +110,10 @@ class AsyncScheduleEngine : public ShardedScheduleContext {
   // Cycle inputs and progress; all guarded by mu_ (machine-checked). Dispatch and the
   // refresh fence run under mu_; the happens-before edge for the unguarded shared engine
   // state (base-class arrays) back to the driver is the ring push/pop, per the visibility
-  // contract in sharded_schedule_context.h.
+  // contract in schedule_context.h.
   uint64_t dispatch_seq_ GUARDED_BY(mu_) = 0;
   std::span<const Task> cycle_pending_ GUARDED_BY(mu_);
   const BlockManager* cycle_blocks_ GUARDED_BY(mu_) = nullptr;
-  size_t cycle_refresh_limit_ GUARDED_BY(mu_) = 0;
   uint64_t cycle_previous_ GUARDED_BY(mu_) = 0;
   // Shards past the refresh + early-score step.
   size_t refresh_done_ GUARDED_BY(mu_) = 0;
@@ -127,8 +126,10 @@ class AsyncScheduleEngine : public ShardedScheduleContext {
   std::vector<ClockStamp> ring_stamps_;
   std::vector<uint8_t> ring_done_;
 
-  std::vector<std::vector<size_t>> late_;  // Per shard: cross-shard home tasks; each entry
-                                           // is touched only by its own shard thread.
+  // Per shard: home tasks scored before the fence (inputs all shard-owned, or DPF) and
+  // after it (cross-shard block lists); each entry is touched only by its own shard thread.
+  std::vector<std::vector<size_t>> early_;
+  std::vector<std::vector<size_t>> late_;
   std::vector<std::thread> threads_;
 };
 

@@ -84,9 +84,10 @@ std::vector<size_t> ComputeBestAlphas(std::span<const Task> tasks,
 // `requesters` is empty; order 0 when every order is depleted. Equal weights (both paper
 // workloads) take the exact profit-only MaxCardinalityValue kernel and stop at the first
 // order where every requester fits; mixed weights take SolveSingleBlock's FPTAS at every
-// usable order. ComputeBestAlphas, the incremental, sharded and async engines and the
-// service's worker replicas all call this, so cached and recomputed best alphas are
-// identical by construction. Thread-safe: all scratch is call-local.
+// usable order. ComputeBestAlphas, the incremental engine (at every shard count, sync or
+// async) and the service's worker replicas all call this, so cached and recomputed best
+// alphas are identical by construction. Thread-safe: all scratch is call-local, so shards
+// solve their blocks concurrently.
 size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> requesters,
                          const RdpCurve& available, double eta);
 

@@ -19,7 +19,7 @@ OnlineScheduler::OnlineScheduler(std::unique_ptr<Scheduler> inner, BlockManager*
     config_.fair_share_n = config_.unlock_steps;
   }
   // The one place the "0 = auto" shard-count convention is resolved (see ResolveNumShards):
-  // every later reader — snapshot metadata, orchestrator results — uses the rewritten
+  // every later reader — engine stats, orchestrator results — uses the rewritten
   // config, which is always >= 1 from here on.
   config_.num_shards = ResolveNumShards(config_.num_shards, blocks_->block_count());
   if (auto* greedy = dynamic_cast<GreedyScheduler*>(inner_.get())) {

@@ -1,5 +1,6 @@
 // Incremental scheduling engine (§6.4 Q4 scalability): persists scoring state across
-// scheduling cycles instead of recomputing every task's score from scratch.
+// scheduling cycles instead of recomputing every task's score from scratch, and optionally
+// spreads that work across N shards.
 //
 // The recompute path (`RecomputeScheduleBatch`, the original GreedyScheduler behavior) costs
 // O(pending × blocks × orders) per cycle — including DPack's per-(block, order) knapsack
@@ -8,11 +9,11 @@
 // budget), so most cached scores are still exact. `ScheduleContext` exploits this:
 //
 //   - Dirty-block detection. `PrivacyBlock::version()` and `BlockManager::epoch()` are
-//     monotonic counters bumped on commits, effective unlocks, and block arrivals. The
-//     context remembers the last version it observed per block; a changed version marks the
-//     block dirty and refreshes its entry in an incrementally-maintained CapacitySnapshot.
-//     New arrivals are detected through the dense id space (block count growth); the epoch
-//     is the coarse manager-level change signal for external consumers.
+//     monotonic counters bumped on commits, effective unlocks, and block arrivals. A
+//     `ShardedBlockManager` overlay (src/block/sharded_block_manager.h) drills into the
+//     manager's version tree each cycle and lists exactly the blocks whose version moved;
+//     those entries of an incrementally-maintained CapacitySnapshot are refreshed. New
+//     arrivals are detected through the dense id space (block count growth).
 //     For DPack, a per-block signature over the ids of the pending tasks requesting the
 //     block additionally marks membership changes dirty (best alphas depend on the
 //     requester set, not just capacity).
@@ -20,27 +21,51 @@
 //     input to it is provably unchanged: DPF scores depend only on total capacities (never
 //     dirty), Area scores on the available curves of the task's blocks, DPack scores on
 //     those curves plus the blocks' cached best-alpha solutions. Only tasks touching dirty
-//     blocks (plus new tasks and tasks whose block list was re-resolved) are rescored.
+//     blocks (found through a per-block reverse index), new tasks, and tasks whose block
+//     list was re-resolved are rescored.
 //   - Lazily-revalidated score heap. Scored entries live in a priority structure ordered
 //     exactly like the recompute path's sort (score desc, arrival asc, id asc). Because
 //     every cycle pops the entire structure (the CANRUN walk visits every pending task), it
 //     is kept in fully-sorted array form — which is itself a valid binary max-heap — and
 //     each cycle's freshly-rescored entries are sorted and merged in. Stale entries —
-//     superseded generations, granted or evicted tasks — are detected and dropped at pop
-//     time during the merge, never eagerly.
+//     superseded generations, granted or evicted tasks — are dropped at merge time.
 //   - Feasibility memos in the allocation walk. A task whose CANRUN check failed remembers
-//     the sum of its blocks' versions at rejection time. Versions are monotone
-//     non-decreasing, so an unchanged sum proves every one of its blocks is unchanged —
-//     the task is still infeasible and the per-order filter scan is skipped. Commits made
-//     earlier in the same walk bump versions and so re-enable the scan, preserving exact
-//     recompute-path semantics.
+//     the sum of its blocks' versions at rejection time. Versions are monotone, so an
+//     unchanged sum proves every one of its blocks is unchanged — the task is still
+//     infeasible and the per-order filter scan is skipped. Commits made earlier in the same
+//     walk bump versions and so re-enable the scan, preserving exact recompute semantics.
 //
-// Equivalence guarantee: for a batch with unique task ids the engine grants exactly the
-// same task set as `RecomputeScheduleBatch` (see tests/core/incremental_equivalence_test.cc).
-// Scores are computed by the same functions on bit-identical inputs, and the pop order is a
-// merge of sorted runs under the same total order as the reference sort. Batches with
-// duplicate ids fall back to the recompute path (the tie-broken sort is not reproducible
-// from id-keyed caches).
+// Sharding. Block g is owned by shard g mod N (the partition's round-robin rule) and task i
+// by shard id mod N. A shard refreshes its owned blocks' snapshot entries, membership
+// signatures and best alphas (phase 2), then scores its home tasks against the shared
+// snapshot and merges its own sorted heap (phase 3). Phase 2 writes only shard-owned entries
+// of the shared id-indexed arrays, so neither phase takes a lock. A cycle is:
+//   1. (sequential) the partition's Sync absorbs arrivals; new blocks are appended to the
+//      snapshot and marked dirty; the batch is split by home shard.
+//   2. (per shard) owned-block refresh, DPack signatures and best-alpha solves.
+//   3. (per shard) the reverse-index marking pass over every shard's dirty list, the score
+//      pass over home tasks, and the local heap merge.
+//   4. (sequential) a deterministic N-way merge of the shard heaps under HeapEntryBefore —
+//      a strict total order for unique ids — then the memoized CANRUN walk. With one shard
+//      the heap merge emits the allocation order directly.
+// Every score is computed by the same function on bit-identical inputs whatever the shard
+// count, so the merged order and the grant sequence are the same for every N and thread
+// timing (tests/core/incremental_equivalence_test.cc and
+// tests/integration/scenario_matrix_test.cc pin it).
+//
+// How phases 2 and 3 are *driven* is the virtual RunPhases hook: this class runs them as two
+// fork-join barriers on a WorkerPool of N - 1 threads (none at one shard, where everything
+// runs inline on the caller); AsyncScheduleEngine (src/core/async_schedule_engine.h) runs
+// them on persistent per-shard threads. RunPhases implementations must provide:
+//   - every shard's phase-2 writes happen-before every shard's phase-3 reads (the pool join
+//     here; the refresh fence in the async engine);
+//   - all shard state happens-before ScheduleBatch's sequential tail; RunPhases returning
+//     is that publication point.
+//
+// Batches with duplicate task ids fall back to the recompute path (the tie-broken sort is
+// not reproducible from id-keyed caches; duplicates share a home shard, so each shard
+// detects them locally). RunPhases may also return false — the async engine's
+// stale-publication escape hatch — with the same fallback.
 //
 // The engine lives inside `GreedyScheduler`, whose instance persists across
 // `OnlineScheduler::RunCycle` calls — that persistence is what makes the cache pay off.
@@ -49,12 +74,13 @@
 #define SRC_CORE_SCHEDULE_CONTEXT_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "src/block/block_manager.h"
+#include "src/block/sharded_block_manager.h"
+#include "src/common/worker_pool.h"
 #include "src/core/efficiency.h"
 #include "src/core/task.h"
 
@@ -72,8 +98,7 @@ enum class GreedyMetric {
 // the CANRUN loop of Alg. 1. Infeasible tasks are skipped, never block the later ones: every
 // policy, including FCFS, backfills past tasks whose filters reject (which is why FCFS does
 // not prioritize low-demand tasks under contention, §6.3). Tasks with an unresolved (empty)
-// block list are skipped. Shared by the recompute and incremental paths (the incremental
-// path layers feasibility memos on the same walk).
+// block list are skipped. The incremental engine layers feasibility memos on the same walk.
 std::vector<size_t> AllocateInOrder(std::span<const Task> pending, BlockManager& blocks,
                                     std::span<const size_t> order);
 
@@ -86,8 +111,8 @@ std::vector<size_t> RecomputeScheduleBatch(GreedyMetric metric, double eta,
                                            BlockManager& blocks);
 
 // Counters describing how much work the engine reused vs redid. Monotonic over the context's
-// lifetime. A sharded engine (ShardedScheduleContext) aggregates its per-shard counters into
-// this struct, so consumers read one summary regardless of the shard count.
+// lifetime. Each shard counts its own work, and the engine sums the shards into this struct
+// after every cycle, so consumers read one summary regardless of the shard count.
 struct ScheduleContextStats {
   uint64_t cycles = 0;                 // ScheduleBatch calls (non-empty batches).
   uint64_t tasks_rescored = 0;         // Scores computed.
@@ -95,13 +120,13 @@ struct ScheduleContextStats {
   uint64_t blocks_refreshed = 0;       // Snapshot entries refreshed (version changes).
   uint64_t best_alpha_recomputes = 0;  // Per-block best-alpha subproblems solved.
   uint64_t full_recomputes = 0;        // Fallbacks to RecomputeScheduleBatch.
-  // Heap-merge buffer growths (MergeScoreHeap scratch / the sharded N-way merge output).
-  // The merge buffers persist across cycles, so steady-state cycles perform zero merge
-  // allocations — pinned by tests and gated at zero in bench/baseline.json.
+  // Growths of the shards' heap-merge output buffers. The merge buffers persist across
+  // cycles, so steady-state cycles perform zero merge allocations — pinned by tests and
+  // gated at zero in bench/baseline.json.
   uint64_t merge_allocs = 0;
   uint64_t shards = 1;                 // Shard count of the engine that produced these stats.
 
-  // Async engine (AsyncScheduleEngine) counters; zero for the synchronous engines.
+  // Async engine (AsyncScheduleEngine) counters; zero for the synchronous engine.
   //   - async_early_scores: rescores a shard thread computed *before* the global refresh
   //     fence, overlapped with the other shards' block refreshes (provably safe: the task's
   //     inputs are entirely shard-owned, or the metric is DPF, whose scores read only total
@@ -166,7 +191,26 @@ struct ScheduleContextStats {
   }
 };
 
-// --- Engine internals shared by the single-shard and sharded engines -----------------------
+// Scores one task under `metric` against `snapshot` (and `best_alpha` for DPack). FCFS
+// never scores (DPACK_CHECKs). The engine and the grant service's workers both score
+// through it, so their scores are bit-identical.
+double ScoreGreedyTask(GreedyMetric metric, const Task& task, const CapacitySnapshot& snapshot,
+                       std::span<const size_t> best_alpha);
+
+// One scored entry of a score heap.
+struct HeapEntry {
+  double score = 0.0;
+  double arrival = 0.0;
+  TaskId id = 0;
+  uint64_t generation = 0;
+  size_t slot = 0;  // Cache slot index; revalidated via Find when slots have moved.
+};
+
+// True if `a` precedes `b` in allocation order (score desc, arrival asc, id asc) — exactly
+// the recompute path's sort order. A strict total order for unique task ids, which is what
+// makes the N-way heap merges (across shards here, across workers in the grant service)
+// deterministic.
+bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b);
 
 // Cached per-task scoring state, keyed by task id.
 struct TaskCache {
@@ -190,36 +234,11 @@ struct TaskCache {
   size_t blocks_len = 0;
 };
 
-// One scored entry of the lazily-revalidated score heap.
-struct HeapEntry {
-  double score = 0.0;
-  double arrival = 0.0;
-  TaskId id = 0;
-  uint64_t generation = 0;
-  size_t slot = 0;  // Cache slot index; revalidated via Find when slots have moved.
-};
-
-// True if `a` precedes `b` in allocation order (score desc, arrival asc, id asc) — exactly
-// the recompute path's sort order. A strict total order for unique task ids, which is what
-// makes the sharded engine's N-way heap merge deterministic.
-bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b);
-
-// DPack requester-set signatures: single-multiply sequence mix (splitmix64-style avalanche
-// on the value, then a multiply fold). Sequence-sensitive, so a reordering of the same ids —
-// which would change the item order fed to the best-alpha knapsacks — also changes the
-// signature. Shared by the engines so per-block signature streams are comparable.
-inline constexpr uint64_t kMemberSigSeed = 1469598103934665603ULL;
-inline uint64_t MemberSigMix(uint64_t sig, uint64_t value) {
-  value *= 0x9E3779B97F4A7C15ULL;
-  value ^= value >> 29;
-  return (sig ^ value) * 0xBF58476D1CE4E5B9ULL;
-}
-
 // Open-addressing map TaskId -> TaskCache. The engine does a couple of lookups per
 // pending task per cycle, which makes std::unordered_map's indirections the bottleneck
 // for cheap metrics; a flat linear-probe table keeps the overhead below the recompute
 // path's scoring cost. Slot indices are stable except across Reserve/Purge rehashes,
-// which the engines track to lazily re-resolve heap entries.
+// which the engine tracks to lazily re-resolve heap entries.
 class TaskCacheMap {
  public:
   static constexpr size_t kNpos = static_cast<size_t>(-1);
@@ -237,7 +256,6 @@ class TaskCacheMap {
   bool Reserve(size_t additional);
   // Drops every entry whose last_seen != `cycle`. Invalidates slot indices.
   void PurgeNotSeen(uint64_t cycle);
-  void Clear();
 
  private:
   struct Slot {
@@ -252,113 +270,14 @@ class TaskCacheMap {
   size_t size_ = 0;
 };
 
-// The per-cycle engine steps shared verbatim by ScheduleContext and
-// ShardedScheduleContext. Keeping these as single definitions is what makes the two
-// engines' grant sequences identical by construction: any change to the reuse, memo,
-// ordering, or tolerance rules lands in both at once.
-
-// Scores one task under `metric` against `snapshot` (and `best_alpha` for DPack). FCFS
-// never scores (DPACK_CHECKs).
-double ScoreGreedyTask(GreedyMetric metric, const Task& task, const CapacitySnapshot& snapshot,
-                       std::span<const size_t> best_alpha);
-
-// The score pass's reuse-vs-rescore decision for one task: a cache entry is only
-// trustworthy if the task was pending in the immediately preceding cycle (last_seen) with
-// an unchanged block list (the vector buffer travels with the task on moves; reallocation
-// on late resolution changes the pointer), and — for the capacity-aware metrics — the
-// reverse-index marking pass did not stamp it stale this cycle (DPF scores depend only on
-// total capacities, which never change for a fixed block list, so DPF ignores dirtiness).
-// Sets `needs_index` when the entry is new or re-resolved — the caller must (re)insert the
-// task into the per-block reverse index so future marking passes reach it — and clears the
-// feasibility memo in that case.
-bool ShouldRescore(TaskCache& cached, const Task& task, GreedyMetric metric,
-                   uint64_t previous_cycle, uint64_t cycle_stamp, bool& needs_index);
-
-// Merges `heap` (persistent, fully sorted) with `fresh` (this cycle's rescored entries)
-// under HeapEntryBefore — exactly the reference sort's total order — dropping stale
-// entries (superseded generations, granted or evicted tasks) at pop time; when
-// `slots_moved`, entries re-resolve their cache slot via Find. The merged live entries
-// replace `heap` (via `scratch`), `fresh` is cleared, `slots_moved` reset. When
-// `order_out` is non-null, each surviving entry's batch index is appended in merge order.
-// `merge_allocs` is incremented when the merge had to grow its output buffer — the
-// ping-pong scratch persists across cycles, so steady-state cycles increment it zero times.
-void MergeScoreHeap(std::vector<HeapEntry>& heap, std::vector<HeapEntry>& fresh,
-                    std::vector<HeapEntry>& scratch, const TaskCacheMap& cache,
-                    uint64_t cycle_stamp, bool& slots_moved, uint64_t& merge_allocs,
-                    std::vector<size_t>* order_out);
-
-// The CANRUN walk over `order` with feasibility memos — identical grants to
-// AllocateInOrder on the same order. Version sums are monotone (each version only grows),
-// so an unchanged sum proves every requested block unchanged since a task's last
-// rejection: still infeasible, skip the per-order filter scans. Commits made earlier in
-// the walk bump `version_now`, so the memo can never mask newly-created contention.
-// `cache_of_index` resolves a batch index to its TaskCache entry (engine-specific);
-// templated so the per-task resolution inlines on this hot path.
-template <typename CacheOfIndex>
-std::vector<size_t> RunAllocationWalk(std::span<const Task> pending, BlockManager& blocks,
-                                      std::span<const size_t> order,
-                                      std::span<uint64_t> version_now,
-                                      CacheOfIndex&& cache_of_index) {
-  std::vector<size_t> granted;
-  for (size_t idx : order) {
-    const Task& task = pending[idx];
-    if (task.blocks.empty()) {
-      continue;  // Unresolved block request.
-    }
-    TaskCache& cached = cache_of_index(idx);
-    uint64_t vsum = 0;
-    for (BlockId j : task.blocks) {
-      vsum += version_now[static_cast<size_t>(j)];
-    }
-    if (cached.reject_vsum == vsum) {
-      continue;
-    }
-    bool can_run = true;
-    for (BlockId j : task.blocks) {
-      if (!blocks.block(j).CanAccept(task.demand)) {
-        can_run = false;
-        break;
-      }
-    }
-    if (!can_run) {
-      cached.reject_vsum = vsum;
-      continue;
-    }
-    for (BlockId j : task.blocks) {
-      blocks.block(j).Commit(task.demand);
-      version_now[static_cast<size_t>(j)] = blocks.block(j).version();
-    }
-    cached.last_seen = 0;  // The grant removes the task from the queue.
-    granted.push_back(idx);
-  }
-  return granted;
-}
-
-// Abstract incremental scheduling engine: the interface `GreedyScheduler` drives, with two
-// implementations — the single-threaded `ScheduleContext` below and the multi-shard
-// `ShardedScheduleContext` (src/core/sharded_schedule_context.h). Both grant exactly the
-// same task sets as `RecomputeScheduleBatch` under the cycle protocol documented on
-// ScheduleContext::ScheduleBatch.
-class ScheduleEngine {
+class ScheduleContext {
  public:
-  virtual ~ScheduleEngine() = default;
-
-  virtual std::vector<size_t> ScheduleBatch(std::span<const Task> pending,
-                                            BlockManager& blocks) = 0;
-
-  // Drops all cached state; the next cycle rebuilds from scratch. Required before pointing
-  // the engine at a different BlockManager.
-  virtual void Invalidate() = 0;
-
-  virtual const ScheduleContextStats& stats() const = 0;
-  virtual GreedyMetric metric() const = 0;
-  virtual size_t num_shards() const { return 1; }
-};
-
-class ScheduleContext : public ScheduleEngine {
- public:
-  // `eta` is DPack's approximation parameter (> 0); unused by the other metrics.
-  explicit ScheduleContext(GreedyMetric metric, double eta = 0.05);
+  // `eta` is DPack's approximation parameter (> 0); `num_shards` >= 1. The worker pool
+  // spawns num_shards - 1 threads (the caller is the remaining executor), independent of
+  // the core count, so the engine behaves identically — just timesliced — when
+  // oversubscribed. One shard spawns no thread.
+  explicit ScheduleContext(GreedyMetric metric, double eta = 0.05, size_t num_shards = 1);
+  virtual ~ScheduleContext() = default;
 
   // One scheduling cycle: refreshes dirty state, rescores affected tasks, and allocates in
   // score order, committing grants to `blocks`. Returns indices into `pending` of the
@@ -366,86 +285,134 @@ class ScheduleContext : public ScheduleEngine {
   //
   // Correct reuse assumes the cycle protocol of OnlineScheduler: between calls, pending
   // tasks are immutable per id (late block resolution excepted — it is detected, because it
-  // reallocates the task's block vector), the same `blocks` manager is passed every cycle,
-  // and all block mutation goes through Commit / SetUnlockedFraction / AddBlock so versions
-  // advance. Call Invalidate() if any of this is violated (e.g. switching the context to a
-  // different manager).
-  std::vector<size_t> ScheduleBatch(std::span<const Task> pending,
-                                    BlockManager& blocks) override;
+  // reallocates the task's block vector), the manager passed each cycle carries the state
+  // the previous cycle left (the same manager, or a Clone of it, which keeps epoch and
+  // versions), and all block mutation goes through Commit / SetUnlockedFraction / AddBlock
+  // so versions advance. Call Invalidate() if any of this is violated (e.g. switching the
+  // context to an unrelated manager).
+  std::vector<size_t> ScheduleBatch(std::span<const Task> pending, BlockManager& blocks);
 
   // Drops all cached state; the next cycle rebuilds from scratch.
-  void Invalidate() override;
+  void Invalidate();
 
-  GreedyMetric metric() const override { return metric_; }
-  const ScheduleContextStats& stats() const override { return stats_; }
+  GreedyMetric metric() const { return metric_; }
+  const ScheduleContextStats& stats() const { return stats_; }
 
- private:
-  void SyncBlocks(const BlockManager& blocks);
-  void MarkMembershipDirty(std::span<const Task> pending);
-  // Walks this cycle's dirty blocks and stamps their live home tasks stale through the
-  // per-block reverse index — O(dirty blocks + their tasks), replacing the old
-  // per-pending-task dirty-bitmap scan. Dead index entries (granted/evicted tasks, or
-  // entries whose task was not pending last cycle) are swap-popped as they are met.
-  void MarkStaleTasks(uint64_t previous_cycle);
-  void RecomputeDirtyBestAlphas(std::span<const Task> pending);
-  // Records block `j` as dirty this cycle, once (dirty_ids_ stays duplicate-free).
-  void MarkDirtyBlock(size_t j) {
-    if (dirty_stamp_[j] != cycle_stamp_) {
-      dirty_stamp_[j] = cycle_stamp_;
-      dirty_ids_.push_back(static_cast<BlockId>(j));
-    }
-  }
-  double ScoreTask(const Task& task) const;
-  // Pops the heap into order_ by merging the surviving sorted entries with the cycle's
-  // freshly-rescored ones, dropping stale entries at pop time.
-  void PopHeapIntoOrder();
-  // The CANRUN walk over `order_` with feasibility memos; identical grants to
-  // AllocateInOrder on the same order.
-  std::vector<size_t> AllocateWithMemos(std::span<const Task> pending, BlockManager& blocks);
+ protected:
+  // Subclass constructor: `pool_workers` is the worker-pool thread count (the async engine
+  // passes 0 — it brings its own per-shard threads and never touches the pool).
+  ScheduleContext(GreedyMetric metric, double eta, size_t num_shards, size_t pool_workers);
+
+  // One shard's slice of the engine: the task-side state of its home tasks plus scratch
+  // for its owned blocks' best-alpha subproblems. Counters accumulate into the engine-wide
+  // ScheduleContextStats after every cycle.
+  struct ShardContext {
+    TaskCacheMap cache;
+    std::vector<HeapEntry> heap;    // Persistent, fully sorted (live + lazily-stale).
+    std::vector<HeapEntry> fresh;   // This cycle's rescored entries, pre-merge.
+    std::vector<HeapEntry> merged;  // Scratch for the merge (ping-pong with heap).
+    // This cycle's home tasks (batch indices, in batch order), viewing task_indices.
+    std::span<const size_t> home;
+    std::vector<size_t> task_indices;
+    std::vector<std::vector<size_t>> requesters;  // Per owned block (local index), DPack.
+    // This cycle's dirty *owned* blocks (capacity or membership), duplicate-free via the
+    // shared dirty_stamp_. Written by the owning shard in phase 2 (arrivals are appended
+    // sequentially in phase 1); read by every shard's phase-3 marking pass.
+    std::vector<BlockId> dirty_ids;
+    // DPack membership bookkeeping for owned blocks, O(touched) per cycle: blocks whose
+    // signature was folded this cycle, and blocks whose current signature is non-seed (the
+    // only ones that can go dirty by *losing* all requesters).
+    std::vector<BlockId> touched_ids;
+    std::vector<BlockId> active_ids;
+    // Reverse index over *home tasks*: per global block id, the ids of this shard's home
+    // tasks requesting it. Tasks are inserted when (re)scored with a new or re-resolved
+    // block list — so every live cached score has its entries present — and lazily
+    // swap-popped when found dead by the marking pass.
+    std::vector<std::vector<TaskId>> rindex;
+    uint64_t next_generation = 1;
+    bool slots_moved = false;  // Set on rehash/purge; entries re-resolve at next merge.
+    bool duplicate = false;    // Home batch contained a repeated task id this cycle.
+    ScheduleContextStats partial;  // This cycle's counters; drained after the cycle.
+  };
+
+  // Runs phases 2 and 3 for every shard, upholding the visibility contract in the file
+  // comment. Returns false to abandon the cycle (all shard-side work discarded, batch
+  // recomputed from scratch) — used by the async engine when a published snapshot fails
+  // quiesce validation. The base implementation (two fork-join barriers on the worker
+  // pool) always returns true.
+  virtual bool RunPhases(std::span<const Task> pending, const BlockManager& blocks,
+                         uint64_t previous_cycle);
+
+  // Phase 2 body for one shard: refresh owned dirty blocks; DPack signatures + best alphas.
+  void SyncShardBlocks(size_t s, const BlockManager& blocks, std::span<const Task> pending);
+  // Phase 3 body for one shard: marking pass, score pass over home tasks, local merge.
+  void ScoreShardTasks(size_t s, std::span<const Task> pending, uint64_t previous_cycle);
+  // Stamps `shard`'s home tasks stale through its reverse index for every block in
+  // `dirty_ids` (one source shard's dirty list). Dead index entries (granted, evicted, or
+  // purged tasks) are swap-popped as they are met. Touches only `shard`'s own cache and
+  // rindex, so a task shard may run it against any source shard's list once that list's
+  // phase-2 writes are visible (the pool join / the async refresh fence).
+  void MarkStaleShardTasks(ShardContext& shard, std::span<const BlockId> dirty_ids,
+                           uint64_t previous_cycle);
+  // The score pass over `indices` (home tasks of `shard`, in batch order): per task the
+  // reuse-vs-rescore decision, cache update, and fresh-heap append. Returns false at the
+  // first id already seen this cycle (duplicate batch: the caller must stop and let
+  // ScheduleBatch fall back). Requires a prior cache Reserve covering the cycle's inserts.
+  bool ScoreTasks(ShardContext& shard, std::span<const Task> pending,
+                  std::span<const size_t> indices, uint64_t previous_cycle);
+  // Merges the shard's sorted heap with its rescored entries. With one shard the merge
+  // also emits the allocation order, so phase 4 skips its N-way merge.
+  void MergeShardHeap(ShardContext& shard);
 
   GreedyMetric metric_;
   double eta_;
+  size_t num_shards_;
   ScheduleContextStats stats_;
   uint64_t cycle_stamp_ = 0;  // Incremented per ScheduleBatch; task cache liveness clock.
 
-  // Block-side cache. The snapshot is created on the first cycle (it needs the manager's
-  // grid) and then maintained incrementally. Dirty state is tracked as an explicit id list
-  // (stamp-deduplicated) fed by the version-tree drill-down and the membership pass, so
-  // per-cycle cost scales with the number of changed blocks, never the block count.
+  // The block partition and the shared capacity snapshot; created on the first cycle
+  // after construction or Invalidate (the snapshot needs the manager's grid).
+  std::optional<ShardedBlockManager> partition_;
   std::optional<CapacitySnapshot> snapshot_;
-  std::vector<uint64_t> last_version_;  // Size doubles as the known-block count.
-  std::vector<uint64_t> version_now_;  // Contiguous mirror of block versions for the walk.
-  std::vector<uint64_t> group_seen_;   // Version-tree group sums at the last sync.
-  std::vector<uint64_t> dirty_stamp_;  // Per block: cycle stamp when last marked dirty.
-  std::vector<BlockId> dirty_ids_;     // This cycle's dirty blocks, duplicate-free.
-  std::vector<uint64_t> member_sig_;   // DPack: per-block requester-set signature.
-  std::vector<size_t> best_alpha_;     // DPack: cached best order per block.
-  std::vector<uint64_t> sig_scratch_;  // Per-cycle membership signature accumulator.
-  // DPack membership bookkeeping, O(touched) per cycle: blocks whose signature was folded
-  // this cycle (stamp-deduplicated), and blocks whose current signature is non-seed (the
-  // only ones that can go dirty by *losing* all requesters).
-  std::vector<uint64_t> touched_stamp_;
-  std::vector<BlockId> touched_ids_;
-  std::vector<BlockId> active_ids_;
-  // Reverse index: per block, the ids of pending tasks requesting it. Tasks are inserted
-  // when (re)scored with a new or re-resolved block list — so every live cached score has
-  // its entries present — and lazily swap-popped when found dead by the marking pass.
-  std::vector<std::vector<TaskId>> rindex_;
 
-  // Task-side cache and score heap. heap_ holds the persistent entries in fully-sorted
-  // (hence heap-ordered) form; fresh_ collects this cycle's rescored entries before the
-  // merge-pop.
-  TaskCacheMap cache_;
-  std::vector<HeapEntry> heap_;
-  std::vector<HeapEntry> fresh_;
-  uint64_t next_generation_ = 1;
-  bool slots_moved_ = false;  // Set on rehash/purge; entries re-resolve at next pop.
+  // Shared block-side state, indexed by global block id. During phase 2 every entry is
+  // written only by its owning shard.
+  // Contiguous version mirror for the allocation walk; its size is the known-block count.
+  // Persistent: arrivals append, phase-2 refreshes overwrite changed entries, walk commits
+  // update, so it always equals the blocks' current versions between cycles.
+  std::vector<uint64_t> version_now_;
+  std::vector<uint64_t> dirty_stamp_;    // Per block: cycle stamp when last marked dirty.
+  std::vector<uint64_t> member_sig_;     // DPack: per-block requester-set signature.
+  std::vector<uint64_t> sig_scratch_;    // Per-cycle signature accumulator (lazily seeded).
+  std::vector<uint64_t> touched_stamp_;  // Per block: cycle stamp of last signature fold.
+  std::vector<size_t> best_alpha_;       // DPack: cached best order per block.
 
-  // Scratch buffers reused across cycles to avoid per-cycle allocation.
-  std::vector<HeapEntry> merged_;
-  std::vector<size_t> order_;
-  std::vector<size_t> slot_of_index_;            // Cache slot per batch index, per cycle.
-  std::vector<std::vector<size_t>> requesters_;  // Per dirty block, for best-alpha solves.
+  std::vector<ShardContext> shards_;
+  std::vector<size_t> order_;  // This cycle's allocation order (batch indices).
+
+  // Set by a RunPhases override that returns false (stale publication): how many shard
+  // publications failed quiesce validation, and how many rescores that discarded.
+  // ScheduleBatch folds them into stats_ on the fallback path and resets them.
+  uint64_t pending_stale_publishes_ = 0;
+  uint64_t pending_wasted_rescores_ = 0;
+
+ private:
+  // Phase 1: bind the partition, absorb arrivals into it and the snapshot (sequential).
+  void SyncArrivals(BlockManager& blocks);
+  // Records owned block `id` as dirty this cycle on its owning shard's list, once.
+  // Phase-2 callers must own `id`'s shard (disjoint writes); phase 1 calls sequentially.
+  void MarkShardDirty(BlockId id);
+  // Phase 4: deterministic N-way merge of the shard heaps into order_ (N > 1 only).
+  void MergeOrder();
+  // The CANRUN walk over order_ with feasibility memos — identical grants to
+  // AllocateInOrder on the same order. Sequential: the walk's commits are order-dependent.
+  std::vector<size_t> AllocateWithMemos(std::span<const Task> pending, BlockManager& blocks);
+
+  WorkerPool pool_;
+  // Home-shard cache entry per batch index, this cycle. Cache slots never move between the
+  // score pass and the walk (Reserve runs before, purges after), so the pointers hold.
+  std::vector<TaskCache*> cache_of_index_;
+  std::vector<size_t> cursor_;  // Per-shard merge cursors (scratch).
 };
 
 }  // namespace dpack

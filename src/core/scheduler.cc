@@ -6,7 +6,6 @@
 #include "src/common/check.h"
 #include "src/common/cpu_affinity.h"
 #include "src/core/async_schedule_engine.h"
-#include "src/core/sharded_schedule_context.h"
 
 namespace dpack {
 
@@ -22,16 +21,14 @@ void GreedyScheduler::RebuildEngine() {
     engine_.reset();
     return;
   }
-  // FCFS never scores, so the sharded and async engines would be pass-throughs dragging
-  // idle threads; keep it on the single-shard engine regardless of the knobs.
-  if (metric_ == GreedyMetric::kFcfs) {
-    engine_ = std::make_unique<ScheduleContext>(metric_, options_.eta);
-  } else if (options_.async) {
+  // FCFS never scores, so extra shards or async threads would sit idle: it always runs on
+  // one synchronous shard, whatever the knobs say.
+  bool fcfs = metric_ == GreedyMetric::kFcfs;
+  if (options_.async && !fcfs) {
     engine_ = std::make_unique<AsyncScheduleEngine>(metric_, options_.eta, options_.num_shards);
-  } else if (options_.num_shards > 1) {
-    engine_ = std::make_unique<ShardedScheduleContext>(metric_, options_.eta, options_.num_shards);
   } else {
-    engine_ = std::make_unique<ScheduleContext>(metric_, options_.eta);
+    engine_ = std::make_unique<ScheduleContext>(metric_, options_.eta,
+                                                fcfs ? 1 : options_.num_shards);
   }
 }
 

@@ -47,18 +47,17 @@ struct GreedySchedulerOptions {
   // are rescored. When cleared, every batch is recomputed from scratch (the reference path —
   // identical grants, used by the differential tests and as the benchmarks' baseline).
   bool incremental = true;
-  // Shard count for the incremental engine (>= 1). With 1 the scheduler runs on the
-  // single-threaded ScheduleContext; with more it runs on ShardedScheduleContext, which
-  // partitions blocks and tasks across `num_shards` shards and rescoring across a worker
-  // pool, granting byte-identical task sequences (see src/core/sharded_schedule_context.h).
-  // Ignored when incremental is false (the recompute reference is single-threaded) and for
-  // FCFS (which never scores, so there is nothing to parallelize).
+  // Shard count of the incremental engine (>= 1). ScheduleContext partitions blocks and
+  // tasks across `num_shards` shards and runs their refresh and rescoring on a worker pool
+  // of num_shards - 1 threads (none at 1, where the cycle runs inline), granting the same
+  // task sequence for every count. Ignored when incremental is false (the recompute
+  // reference is single-threaded) and for FCFS (which never scores, so it runs one shard).
   size_t num_shards = 1;
-  // When set, the incremental engine runs on AsyncScheduleEngine: one persistent scheduler
-  // thread per shard rescoring against lock-free per-shard clock reads and publishing heap
-  // snapshots, with a quiesce/fence keeping grants byte-identical to the synchronous
-  // sharded engine (see src/core/async_schedule_engine.h). Applies to any num_shards >= 1;
-  // ignored when incremental is false and for FCFS.
+  // When set, the incremental engine runs on AsyncScheduleEngine, the ScheduleContext
+  // subclass with one persistent scheduler thread per shard: threads rescore against
+  // lock-free per-shard clock reads and publish heap snapshots, and a quiesce/fence keeps
+  // grants byte-identical to the synchronous engine (see src/core/async_schedule_engine.h).
+  // Applies to any num_shards >= 1; ignored when incremental is false and for FCFS.
   bool async = false;
 };
 
@@ -77,22 +76,22 @@ class GreedyScheduler : public Scheduler {
   // scheduler runs the recompute path.
   void set_num_shards(size_t num_shards);
 
-  // Switches the incremental engine between the synchronous drivers and the async
+  // Switches the incremental engine between the synchronous driver and the async
   // per-shard-thread engine. Rebuilds the engine (dropping all cached state), so call it
   // between runs, not mid-run. No-op when unchanged or on the recompute path.
   void set_async(bool async);
 
-  // The incremental engine (single-shard or sharded), for cache control and stats. Non-null
-  // iff options.incremental.
-  ScheduleEngine* engine() { return engine_.get(); }
-  const ScheduleEngine* engine() const { return engine_.get(); }
+  // The incremental engine (synchronous or async, any shard count), for cache control and
+  // stats. Non-null iff options.incremental.
+  ScheduleContext* engine() { return engine_.get(); }
+  const ScheduleContext* engine() const { return engine_.get(); }
 
  private:
   void RebuildEngine();
 
   GreedyMetric metric_;
   GreedySchedulerOptions options_;
-  std::unique_ptr<ScheduleEngine> engine_;
+  std::unique_ptr<ScheduleContext> engine_;
 };
 
 // The Optimal baseline: maps the batch to a privacy-knapsack instance over the blocks'
@@ -131,9 +130,9 @@ enum class SchedulerKind {
 
 std::string SchedulerKindName(SchedulerKind kind);
 
-// Factory covering every algorithm in the evaluation. `num_shards` > 1 runs the greedy
-// policies on the sharded incremental engine; `async` runs them on the async per-shard
-// thread engine (both ignored for Optimal).
+// Factory covering every algorithm in the evaluation. `num_shards` sets the greedy
+// policies' incremental-engine shard count and `async` runs that engine on per-shard
+// threads (see GreedySchedulerOptions; both ignored for Optimal).
 std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta = 0.05,
                                            PkOptions optimal_options = {},
                                            size_t num_shards = 1, bool async = false);
@@ -144,9 +143,9 @@ std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta = 0.05
 // (AllowedCores, so a taskset or container cpuset is honoured; hardware_concurrency only
 // when the mask is unreadable; at least 1) capped by the blocks known when the driver is
 // built (`known_blocks`; an empty manager resolves to 1, so drivers built before any block
-// arrives — every fresh simulation — keep their scheduler single-shard exactly as an
+// arrives — every fresh simulation — keep their scheduler at one shard exactly as an
 // explicit 1 would). OnlineScheduler's constructor is the one resolution point: it rewrites
-// its config with the resolved count, so every downstream reader (snapshot metadata,
+// its config with the resolved count, so every downstream reader (engine stats,
 // orchestrator results) sees a value >= 1 and no call site re-interprets 0 ad hoc.
 // `hardware_hint` overrides the queried core count so tests pin the rule on every machine.
 size_t ResolveNumShards(size_t requested, size_t known_blocks, size_t hardware_hint = 0);

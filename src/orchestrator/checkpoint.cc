@@ -26,7 +26,6 @@ bool FiniteValue(double v) { return std::isfinite(v); }
 
 ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task> pending,
                                 const AllocationMetrics& metrics, const SnapshotMeta& meta) {
-  DPACK_CHECK(meta.num_shards >= 1);
   ClusterSnapshot snapshot;
   snapshot.meta = meta;
   snapshot.grid_orders = blocks.grid()->orders();
@@ -35,7 +34,6 @@ ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task
   snapshot.manager_epoch = blocks.epoch();
 
   snapshot.blocks.reserve(blocks.block_count());
-  snapshot.shard_clocks.assign(static_cast<size_t>(meta.num_shards), SnapshotShardClock{});
   for (size_t j = 0; j < blocks.block_count(); ++j) {
     const PrivacyBlock& block = blocks.block(static_cast<BlockId>(j));
     SnapshotBlockState state;
@@ -49,11 +47,6 @@ ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task
     state.capacity = block.capacity().epsilons();
     state.consumed = block.consumed().epsilons();
     snapshot.blocks.push_back(std::move(state));
-    // Derived per-shard clocks under the round-robin partition: what a freshly Sync()ed
-    // ShardedBlockManager over this manager would report.
-    SnapshotShardClock& clock = snapshot.shard_clocks[j % snapshot.shard_clocks.size()];
-    clock.epoch += 1;
-    clock.version += block.version();
   }
 
   snapshot.pending.reserve(pending.size());
@@ -94,9 +87,6 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot) {
   }
   if (meta.fair_share_n < 0) {
     return "meta.fair_share_n must be >= 0";
-  }
-  if (meta.num_shards < 1) {
-    return "meta.num_shards must be >= 1";
   }
   if (!FiniteValue(meta.checkpoint_time) || !FiniteValue(meta.next_cycle_time) ||
       meta.next_cycle_time < meta.checkpoint_time) {
@@ -178,21 +168,6 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot) {
     }
   }
 
-  if (snapshot.shard_clocks.size() != static_cast<size_t>(meta.num_shards)) {
-    return "shard_clocks must have num_shards entries";
-  }
-  std::vector<SnapshotShardClock> derived(snapshot.shard_clocks.size());
-  for (size_t j = 0; j < snapshot.blocks.size(); ++j) {
-    derived[j % derived.size()].epoch += 1;
-    derived[j % derived.size()].version += snapshot.blocks[j].version;
-  }
-  for (size_t s = 0; s < derived.size(); ++s) {
-    if (derived[s].epoch != snapshot.shard_clocks[s].epoch ||
-        derived[s].version != snapshot.shard_clocks[s].version) {
-      return "shard clocks inconsistent with block states";
-    }
-  }
-
   for (const SnapshotTaskState& task : snapshot.pending) {
     if (!FiniteValue(task.weight) || task.weight <= 0.0) {
       return "pending task weight out of range";
@@ -264,8 +239,6 @@ std::string EncodePayload(const ClusterSnapshot& snapshot) {
   payload.F64(meta.period);
   payload.I64(meta.unlock_steps);
   payload.I64(meta.fair_share_n);
-  payload.U64(meta.num_shards);
-  payload.U8(meta.async ? 1 : 0);
 
   payload.F64Vec(snapshot.grid_orders);
   payload.F64(snapshot.eps_g);
@@ -282,12 +255,6 @@ std::string EncodePayload(const ClusterSnapshot& snapshot) {
     payload.U64(block.slot);
     payload.F64Vec(block.capacity);
     payload.F64Vec(block.consumed);
-  }
-
-  payload.U64(snapshot.shard_clocks.size());
-  for (const SnapshotShardClock& clock : snapshot.shard_clocks) {
-    payload.U64(clock.epoch);
-    payload.U64(clock.version);
   }
 
   payload.U64(snapshot.pending.size());
@@ -375,22 +342,14 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes) {
 
   BinaryReader r(payload);
   ClusterSnapshot& s = result.snapshot;
-  uint8_t async = 0;
   bool ok = r.U64(&s.meta.cycles_completed, "meta.cycles_completed") &&
             r.F64(&s.meta.checkpoint_time, "meta.checkpoint_time") &&
             r.F64(&s.meta.next_cycle_time, "meta.next_cycle_time") &&
             r.F64(&s.meta.period, "meta.period") &&
             r.I64(&s.meta.unlock_steps, "meta.unlock_steps") &&
             r.I64(&s.meta.fair_share_n, "meta.fair_share_n") &&
-            r.U64(&s.meta.num_shards, "meta.num_shards") && r.U8(&async, "meta.async") &&
             r.F64Vec(&s.grid_orders, "grid_orders") && r.F64(&s.eps_g, "eps_g") &&
             r.F64(&s.delta_g, "delta_g") && r.U64(&s.manager_epoch, "manager_epoch");
-  if (ok && async > 1) {
-    result.error = "meta.async must be 0 or 1";
-    return result;
-  }
-  s.meta.async = async == 1;
-
   uint64_t count = 0;
   if (ok && (ok = r.Count(&count, 8 * 6 + 9, "block count"))) {
     s.blocks.resize(static_cast<size_t>(count));
@@ -409,15 +368,6 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes) {
         return result;
       }
       block.retired = retired == 1;
-    }
-  }
-  if (ok && (ok = r.Count(&count, 8 * 2, "shard clock count"))) {
-    s.shard_clocks.resize(static_cast<size_t>(count));
-    for (SnapshotShardClock& clock : s.shard_clocks) {
-      ok = r.U64(&clock.epoch, "shard.epoch") && r.U64(&clock.version, "shard.version");
-      if (!ok) {
-        break;
-      }
     }
   }
   if (ok && (ok = r.Count(&count, 8 * 7, "pending task count"))) {

@@ -4,9 +4,9 @@
 // Kubernetes API server, so the scheduler can crash and resume without violating the global
 // privacy guarantee. `ClusterSnapshot` is our equivalent of that durable state: every
 // privacy block's per-order consumed budget, unlock progress, arrival time, and monotonic
-// version; the block manager's arrival epoch; the derived per-shard (epoch, version) clocks
-// of the sharded partition; the pending task queue in arrival order; and the cumulative
-// allocation metrics.
+// version; the block manager's arrival epoch; the pending task queue in arrival order; and
+// the cumulative allocation metrics. Engine shape (shard count, async) is not cluster state
+// and is not recorded: a resumed run schedules with whatever engine its own config builds.
 //
 // Recovery invariant (pinned by tests/orchestrator/recovery_test.cc): restoring a snapshot
 // rebuilds a byte-identical BlockManager — same epoch, same per-block versions, bit-equal
@@ -41,7 +41,8 @@ namespace dpack {
 
 // Bump on any schema change; the decoder rejects other versions.
 // v2: per-block slab placement (retired tier + dense slot), added with block retirement.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+// v3: dropped the engine shape (meta num_shards/async) and the derived per-shard clocks.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 // One privacy block's durable state. `capacity` / `consumed` are per-order epsilons on the
 // snapshot's grid. `retired` / `slot` are the block's slab placement (see
@@ -70,16 +71,6 @@ struct SnapshotTaskState {
   uint64_t num_recent_blocks = 0;
 };
 
-// The derived clock of one shard of the round-robin partition (see
-// src/block/sharded_block_manager.h): epoch = member count, version = sum of member block
-// versions. Recomputable from the block states; stored so the decoder can cross-check the
-// two and reject snapshots whose block section was corrupted without tripping the checksum
-// (e.g. a hand-built snapshot re-encoded with a fresh checksum).
-struct SnapshotShardClock {
-  uint64_t epoch = 0;
-  uint64_t version = 0;
-};
-
 // Cumulative AllocationMetrics state. Delays are the raw sample vector; the cycle-runtime
 // accumulator is captured field-exact (Welford state is order-sensitive).
 struct SnapshotMetricsState {
@@ -94,8 +85,8 @@ struct SnapshotMetricsState {
   RunningStat::State cycle_runtime;
 };
 
-// Where in the run the snapshot was taken, plus the scheduling configuration the state is
-// only meaningful under (validated against the resuming run's config).
+// Where in the run the snapshot was taken, plus the cycle schedule the state was captured
+// under (a resume checks period and unlock_steps against its own config).
 struct SnapshotMeta {
   uint64_t cycles_completed = 0;   // Scheduling cycles fully executed before the capture.
   double checkpoint_time = 0.0;    // Virtual time of the capture; arrivals <= this are in.
@@ -103,8 +94,6 @@ struct SnapshotMeta {
   double period = 1.0;
   int64_t unlock_steps = 1;
   int64_t fair_share_n = 0;
-  uint64_t num_shards = 1;         // Engine shape at capture (1 = single-shard).
-  bool async = false;
 };
 
 struct ClusterSnapshot {
@@ -115,7 +104,6 @@ struct ClusterSnapshot {
   double delta_g = 0.0;
   uint64_t manager_epoch = 0;
   std::vector<SnapshotBlockState> blocks;
-  std::vector<SnapshotShardClock> shard_clocks;  // meta.num_shards entries.
   std::vector<SnapshotTaskState> pending;
   SnapshotMetricsState metrics;
 };
@@ -131,10 +119,7 @@ struct SnapshotParseResult {
 // --- Capture ------------------------------------------------------------------------------
 
 // Snapshots the cluster state: `blocks` (all block state + epoch + grid + guarantee),
-// `pending` (the online driver's queue, in order), `metrics`, and `meta`. The per-shard
-// clocks are derived from the block states under the round-robin partition with
-// meta.num_shards shards — equal to what a freshly Sync()ed ShardedBlockManager would
-// report, which is exactly the state a cold restored engine rebuilds.
+// `pending` (the online driver's queue, in order), `metrics`, and `meta`.
 ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task> pending,
                                 const AllocationMetrics& metrics, const SnapshotMeta& meta);
 
@@ -144,8 +129,8 @@ std::string EncodeSnapshotBinary(const ClusterSnapshot& snapshot);
 SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes);
 
 // Structural validation run by the decoder: dense ordered block ids, curve sizes matching
-// the grid, fractions in range, no NaNs where semantics forbid them, shard clocks consistent
-// with the block states, metrics internally consistent. Returns "" when valid, else a
+// the grid, fractions in range, no NaNs where semantics forbid them, metrics internally
+// consistent. Returns "" when valid, else a
 // diagnostic. Public so hand-built snapshots (tests, tools) can be checked too.
 std::string ValidateSnapshot(const ClusterSnapshot& snapshot);
 

@@ -245,9 +245,6 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
       meta.period = config_.period;
       meta.unlock_steps = config_.unlock_steps;
       meta.fair_share_n = online.config().fair_share_n;
-      // Already resolved (>= 1) by the driver's constructor — the single "0 = auto" point.
-      meta.num_shards = online.config().num_shards;
-      meta.async = config_.async;
       std::string encoded = EncodeSnapshotBinary(
           CaptureSnapshot(blocks, online.pending(), online.metrics(), meta));
       result.last_checkpoint = encoded;

@@ -42,8 +42,10 @@ struct OrchestratorConfig {
   double store_latency_us = 150.0;   // Simulated API-server round-trip latency.
   uint64_t store_ops_per_task = 3;   // Claim read + status update + budget commit.
   uint64_t store_ops_per_cycle = 4;  // Block list + lease renewal traffic.
-  // When > 0 and the scheduler is a GreedyScheduler, reshard its incremental engine
-  // (parallel scoring across this many block/task shards); 0 leaves it as constructed.
+  // Shard count for a GreedyScheduler's incremental engine (parallel scoring across this
+  // many block/task shards), passed to OnlineSchedulerConfig::num_shards. 0 means auto per
+  // ResolveNumShards (src/core/scheduler.h), and the resolved count overrides the shard
+  // count the scheduler was constructed with — auto never leaves it as constructed.
   size_t num_shards = 0;
   // When set and the scheduler is a GreedyScheduler, run its incremental engine on the
   // async per-shard scheduler threads (same grants; see src/core/async_schedule_engine.h).

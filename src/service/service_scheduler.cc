@@ -224,7 +224,6 @@ void ServiceScheduler::RecoverWorker(size_t w) {
     SnapshotMeta meta;
     meta.period = 1.0;
     meta.unlock_steps = 1;
-    meta.num_shards = 1;
     for (const Task& task : pending_) {
       metrics.RecordSubmission(task.weight, false);
       meta.checkpoint_time = std::max(meta.checkpoint_time, task.arrival_time);

@@ -155,9 +155,6 @@ SimResult RunOnlineSimulation(std::unique_ptr<Scheduler> scheduler, std::vector<
     meta.period = config.period;
     meta.unlock_steps = config.unlock_steps;
     meta.fair_share_n = online.config().fair_share_n;
-    // Already resolved (>= 1) by the driver's constructor — the single "0 = auto" point.
-    meta.num_shards = online.config().num_shards;
-    meta.async = config.async;
     result.snapshot = CaptureSnapshot(blocks, online.pending(), online.metrics(), meta);
   }
 

@@ -47,8 +47,10 @@ struct SimConfig {
   // budget has unlocked. The paper's online runs measure the stream steady state (blocks
   // keep arriving as the run ends), not a fully drained system.
   double horizon_override = 0.0;
-  // When > 0 and the scheduler is a GreedyScheduler, reshard its incremental engine
-  // (parallel scoring across this many block/task shards); 0 leaves it as constructed.
+  // Shard count for a GreedyScheduler's incremental engine (parallel scoring across this
+  // many block/task shards), passed to OnlineSchedulerConfig::num_shards. 0 means auto per
+  // ResolveNumShards (src/core/scheduler.h), and the resolved count overrides the shard
+  // count the scheduler was constructed with — auto never leaves it as constructed.
   size_t num_shards = 0;
   // When set and the scheduler is a GreedyScheduler, run its incremental engine on the
   // async per-shard scheduler threads (same grants; see src/core/async_schedule_engine.h).
@@ -81,9 +83,9 @@ struct SimResult {
   double end_time = 0.0;
   size_t cycles_run = 0;
   size_t pending_at_end = 0;
-  // Incremental-engine counters of the run's scheduler (zeros when the scheduler does not
-  // run on a ScheduleContext). The scheduler instance persists across every cycle of the
-  // simulation, so the context's caches survive between batches.
+  // Incremental-engine counters of the run's scheduler (zeros when it has no ScheduleContext:
+  // Optimal, or a GreedyScheduler on the recompute path). The scheduler instance persists
+  // across every cycle of the simulation, so the engine's caches survive between batches.
   ScheduleContextStats scheduler_stats;
   // Granted task ids per executed cycle (only when SimConfig::record_grant_trace). A
   // resumed run records only its own cycles; prefix + suffix must equal the uninterrupted

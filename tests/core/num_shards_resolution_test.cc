@@ -2,7 +2,7 @@
 // and exactly one application point (OnlineScheduler's constructor). Pin both: the rule
 // itself on every machine via the hardware_hint override, and the funnel — a driver built
 // with 0 exposes the resolved count through config() and its engine's stats, so no
-// downstream reader (snapshot metadata, orchestrator results) ever sees a 0.
+// downstream reader (engine stats, orchestrator results) ever sees a 0.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "src/common/cpu_affinity.h"
 #include "src/core/online_scheduler.h"
 #include "src/core/scheduler.h"
+#include "src/sim/sim_driver.h"
 #include "src/workload/curve_pool.h"
 
 namespace dpack {
@@ -79,10 +80,28 @@ TEST(NumShardsResolutionTest, DriverConstructorIsTheResolutionPoint) {
   EXPECT_LE(resolved, 3u);  // Never more shards than blocks known at construction.
 
   // The resolved count was actually pushed into the scheduler, not just recorded: the
-  // engine's stats report the same shard count (ScheduleContext defaults to 1, the sharded
-  // engines stamp theirs at construction).
+  // engine's stats report the same shard count (every engine stamps its count at
+  // construction).
   ASSERT_NE(online.context_stats(), nullptr);
   EXPECT_EQ(online.context_stats()->shards, resolved);
+
+  // Auto overrides the count a scheduler was constructed with: 0 never means "leave it".
+  OnlineScheduler resharded(
+      std::make_unique<GreedyScheduler>(GreedyMetric::kDpack,
+                                        GreedySchedulerOptions{.num_shards = 4}),
+      &blocks, config);
+  ASSERT_NE(resharded.context_stats(), nullptr);
+  EXPECT_EQ(resharded.context_stats()->shards, resolved);
+
+  // The same through the simulator: a fresh run's driver is built before any block
+  // arrives, so SimConfig's default of 0 resolves to 1 whatever the scheduler was built with.
+  Task task(0, 1.0, BlockCapacityCurve(grid, 10.0, 1e-7).Scaled(0.01));
+  task.num_recent_blocks = 1;
+  SimConfig sim;
+  sim.num_blocks = 2;
+  SimResult result = RunOnlineSimulation(
+      CreateScheduler(SchedulerKind::kDpack, 0.05, {}, /*num_shards=*/4), {task}, sim);
+  EXPECT_EQ(result.scheduler_stats.shards, 1u);
 }
 
 TEST(NumShardsResolutionTest, ExplicitConfigPassesThroughTheDriver) {

@@ -1,7 +1,8 @@
 // Engine-matrix differential harness over the scenario registry: every registered
 // scenario must produce byte-identical grant traces across the full engine matrix — the
-// recompute reference, the sharded engine at shard counts {1, 2, 4, 7}, and the async
-// per-shard-thread engine at {1, 4, 7} — and must survive a kill-at-a-cycle + resume leg
+// recompute reference, the incremental engine (ScheduleContext) at shard counts
+// {1, 2, 4, 7}, and its async per-shard-thread subclass at {1, 4, 7} — and must survive a
+// kill-at-a-cycle + resume leg
 // (through the binary snapshot codec and the recovery machinery) that stitches back to the
 // same trace. Runs under the TSan CI leg (the async legs spawn per-shard scheduler threads)
 // and the shuffled ctest leg.

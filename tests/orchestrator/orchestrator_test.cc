@@ -153,7 +153,7 @@ TEST(OrchestratorOnlineTest, ZeroOnlineBlocksRunsOnOfflineBlocksOnly) {
 
 TEST(OrchestratorOnlineTest, ShardedSchedulerMatchesMonolithic) {
   // The num_shards/async knobs flow through the orchestrator into the scheduler's engine,
-  // and the sharded and async engines allocate exactly what the single-shard engine does.
+  // and multi-shard and async engines allocate exactly what one synchronous shard does.
   auto run = [](size_t num_shards, bool async) {
     OrchestratorConfig config = FastConfig();
     config.num_shards = num_shards;
