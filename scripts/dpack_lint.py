@@ -23,6 +23,12 @@ src/core, src/block, and src/service unless noted):
                            a bare usleep returns early on EINTR and silently shrinks every
                            iteration-budget deadline, so poll sleeps go through
                            SleepFullMicros. Deliberate wall-pacing sleeps carry an allow.
+  raw-wait                 (all of src/, tests/, bench/, examples/) poll, ppoll, select,
+                           pselect, epoll_wait/epoll_pwait and the futex/ppoll syscall
+                           numbers are banned everywhere except src/common/sleep.{h,cc}:
+                           the libc ppoll and a bare futex wait lose the unslept remainder on
+                           EINTR, so blocking waits go through WaitFdsMicros/WaitBellMicros,
+                           which keep every step whole and bounded.
   unordered-iteration      Iterating an unordered container on a grant-ordering path:
                            iteration order is hash-seed/pointer dependent, so any grant
                            decision derived from it differs run to run. Lookups are fine;
@@ -89,7 +95,8 @@ ALL_CODE_DIRS = ("src", "tests", "bench", "examples")
 THREAD_ANNOTATIONS_HEADER = "src/common/thread_annotations.h"
 # raw-affinity likewise: the helper pair is the one sanctioned home for affinity syscalls.
 CPU_AFFINITY_SOURCES = ("src/common/cpu_affinity.h", "src/common/cpu_affinity.cc")
-# raw-sleep likewise: the EINTR-safe sleep helper is the one sanctioned home for sleeps.
+# raw-sleep and raw-wait likewise: the EINTR-safe wait module is the one sanctioned home for
+# sleeps, descriptor polls and futex waits.
 SLEEP_SOURCES = ("src/common/sleep.h", "src/common/sleep.cc")
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
@@ -101,6 +108,9 @@ RAW_MUTEX_RE = re.compile(
 RAW_AFFINITY_RE = re.compile(
     r"\b(pthread_[gs]etaffinity_np|sched_[gs]etaffinity)\s*\(")
 RAW_SLEEP_RE = re.compile(r"\b(usleep|nanosleep|sleep_for)\s*\(")
+RAW_WAIT_RE = re.compile(
+    r"\b(poll|ppoll|select|pselect|epoll_wait|epoll_pwait2?)\s*\("
+    r"|\b((?:SYS|__NR)_(?:futex\w*|ppoll\w*|poll|pselect6\w*|select|epoll_p?wait\w*))\b")
 UNORDERED_DECL_RE = re.compile(
     r"\bstd::(unordered_map|unordered_set|unordered_multimap|unordered_multiset)\s*<")
 # A (member) declaration we can harvest a variable name from:
@@ -296,6 +306,16 @@ def lint_file(rel, text):
                     f"{m.group(1)} outside src/common/sleep.*; use SleepFullMicros so an "
                     f"EINTR never shortens a poll interval, or add a reasoned allow for a "
                     f"deliberate wall-pacing sleep")
+
+    # raw-wait: everywhere except the wait module itself.
+    if in_scope(rel_posix, ALL_CODE_DIRS) and rel_posix not in SLEEP_SOURCES:
+        for idx, line in enumerate(lines, 1):
+            m = RAW_WAIT_RE.search(line)
+            if m:
+                add(idx, "raw-wait",
+                    f"{m.group(1) or m.group(2)} outside src/common/sleep.*; use "
+                    f"WaitFdsMicros/WaitBellMicros so an EINTR never shortens a wait step "
+                    f"and every wait stays bounded by one step")
 
     in_grant_scope = in_scope(rel_posix, GRANT_ORDERING_DIRS)
     in_float_eq_scope = in_scope(rel_posix, FLOAT_EQ_DIRS)

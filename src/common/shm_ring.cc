@@ -8,6 +8,7 @@
 
 #include "src/common/check.h"
 #include "src/common/frame.h"  // The [len][FNV-1a][payload] frame codec, shared with sockets.
+#include "src/common/sleep.h"
 #include "src/common/wire.h"
 
 namespace dpack {
@@ -56,6 +57,7 @@ ShmRing::ShmRing(void* mem, size_t bytes, bool initialize) {
     header_ = new (mem) Header;
     header_->tail.store(0, std::memory_order_relaxed);
     header_->head.store(0, std::memory_order_relaxed);
+    header_->bell.store(0, std::memory_order_relaxed);
     header_->capacity = bytes - sizeof(Header);
   } else {
     header_ = static_cast<Header*>(mem);
@@ -98,6 +100,7 @@ bool ShmRing::TryPush(std::string_view payload) {
   // The release publish is what makes a mid-write SIGKILL invisible: until this store the
   // consumer's acquire load cannot observe any byte of the frame.
   header_->tail.store(tail + need, std::memory_order_release);
+  RingBell(&header_->bell);
   return true;
 }
 
@@ -125,6 +128,12 @@ RingPopStatus ShmRing::TryPop(std::string* out) {
   }
   header_->head.store(head + kFrameHeaderBytes + length, std::memory_order_release);
   return RingPopStatus::kOk;
+}
+
+uint32_t ShmRing::bell() const { return header_->bell.load(std::memory_order_acquire); }
+
+bool ShmRing::WaitForPush(uint32_t seen, unsigned int micros) const {
+  return WaitBellMicros(header_->bell, seen, micros);
 }
 
 size_t ShmRing::used() const {

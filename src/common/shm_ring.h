@@ -15,8 +15,12 @@
 // reject-don't-trust contract as the checkpoint codec (tests/service/shm_ring_test.cc
 // mirrors checkpoint_test.cc's truncation/bit-flip suite).
 //
-// The ring makes no syscalls on push/pop (pure shared-memory atomics); blocking waits are
-// the caller's loop (see src/service/transport.h, which owns the deadlines and counters).
+// Push and pop are shared-memory atomics plus one syscall: after publishing, TryPush rings a
+// 32-bit doorbell word kept next to the write cursor and wakes its futex waiters. A consumer
+// that finds the ring empty blocks on that bell for at most one step (WaitForPush), so a
+// push wakes it at once; the bell only shortens waits and never carries data, so a lost or
+// spurious wake costs at most one step. The wait loops, deadlines and counters stay the
+// caller's (see src/service/transport.h).
 
 #ifndef SRC_COMMON_SHM_RING_H_
 #define SRC_COMMON_SHM_RING_H_
@@ -80,6 +84,13 @@ class ShmRing {
   // transport, never silently-resynchronized garbage).
   RingPopStatus TryPop(std::string* out);
 
+  // Doorbell snapshot; load it BEFORE a TryPop that may find the ring empty, then pass it to
+  // WaitForPush, so a push landing between the two is never slept through.
+  uint32_t bell() const;
+  // Blocks up to `micros` microseconds until a push rings the bell past `seen`. Returns true
+  // when it has (possibly already before the call), false when the step elapsed.
+  bool WaitForPush(uint32_t seen, unsigned int micros) const;
+
   size_t capacity() const { return cap_; }
   // Bytes currently published and unconsumed (racy across processes; exact when quiescent).
   size_t used() const;
@@ -95,6 +106,9 @@ class ShmRing {
     // Producer-owned write cursor and consumer-owned read cursor, both monotonically
     // increasing byte counts (never wrapped; buffer offsets are cursor % capacity).
     alignas(64) std::atomic<uint64_t> tail;
+    // Producer-owned doorbell, bumped (and its futex waiters woken) after every publish. It
+    // shares the write cursor's cache line, which the consumer reads anyway.
+    std::atomic<uint32_t> bell;
     alignas(64) std::atomic<uint64_t> head;
     alignas(64) uint64_t capacity;
   };

@@ -4,6 +4,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+
 #include "src/common/check.h"
 
 namespace dpack {
@@ -56,6 +58,13 @@ ChildStatus WaitChild(pid_t pid) {
 void KillChild(pid_t pid, int signal) {
   DPACK_CHECK(pid > 0);  // Never signal process groups / every-process targets.
   kill(pid, signal);
+}
+
+void AwaitChildExit(pid_t pid) {
+  siginfo_t info = {};
+  while (waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT) != 0) {
+    DPACK_CHECK(errno == EINTR);
+  }
 }
 
 }  // namespace dpack

@@ -44,6 +44,11 @@ ChildStatus WaitChild(pid_t pid);
 // Sends `signal` (e.g. SIGKILL) to the child. Harmless on already-dead children.
 void KillChild(pid_t pid, int signal);
 
+// Blocks until the child has terminated WITHOUT reaping it (waitid WNOWAIT): the next
+// PollChild/WaitChild still reports the death. For fault injection that must know a kill
+// has landed while leaving its discovery to the caller's normal waitpid path.
+void AwaitChildExit(pid_t pid);
+
 }  // namespace dpack
 
 #endif  // SRC_COMMON_SUBPROCESS_H_

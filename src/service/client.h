@@ -2,8 +2,10 @@
 // strict request/reply client speaking checksum-framed ServiceMessages, plus the remote
 // workload driver that replays the sim driver's exact event order over the wire.
 //
-// Blocking waits follow the service discipline — iteration budgets over a fixed poll sleep
-// (SleepFullMicros, so EINTR never shortens a deadline), no clock reads. Every failure path
+// Blocking waits follow the service discipline — iteration budgets of bounded steps, no
+// clock reads. A send or reply wait blocks until the socket is writable or readable, for at
+// most one poll_sleep_us step (WaitFdsMicros, whose EINTRs resume with the remainder, so a
+// signal never shortens a deadline); connect retries sleep the full step. Every failure path
 // (daemon gone, corrupt reply, budget exhausted, reply out of sequence) returns false with
 // a diagnostic; the client never spins forever on a dead daemon.
 
@@ -24,8 +26,10 @@ namespace dpack {
 
 struct NetClientConfig {
   size_t max_frame_bytes = 1 << 20;   // Replies beyond this are corruption, not patience.
+  // The longest single wait, microseconds: a send or reply wait ends as soon as the socket
+  // is ready, a refused connect retries after exactly this long.
   unsigned int poll_sleep_us = 200;
-  // Poll iterations to wait for connect / a reply before giving up. At the default sleep
+  // Wait steps to spend on connect / a send / a reply before giving up. At the default step
   // this is tens of seconds of daemon silence — a dead daemon, not a slow one.
   uint64_t io_budget = 100000;
 };
@@ -59,6 +63,8 @@ class ServiceClient {
   bool SendRequest(const ServiceMessage& message, std::string* error);
   // Waits (budgeted) for the next frame and decodes it. Any transport damage is terminal.
   bool ReceiveReply(ServiceMessage* out, std::string* error);
+  // Blocks for at most one poll_sleep_us step until the socket reports `events`.
+  void WaitForSocket(short events);
 
   NetClientConfig config_;
   std::unique_ptr<FrameSocket> socket_;

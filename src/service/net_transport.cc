@@ -483,6 +483,26 @@ bool NetServiceFront::PollOnce() {
   return progress;
 }
 
+void NetServiceFront::WaitForEvents(bool flush_only) {
+  poll_fds_.clear();
+  if (!flush_only) {
+    poll_fds_.push_back(pollfd{listener_->fd(), POLLIN, 0});
+  }
+  for (const Connection& conn : connections_) {
+    if (conn.socket->dead()) {
+      continue;  // Its hangup would report ready at once; nothing more can move on it.
+    }
+    short events = flush_only ? 0 : POLLIN;
+    if (conn.socket->pending_output() > 0) {
+      events |= POLLOUT;
+    }
+    if (events != 0) {
+      poll_fds_.push_back(pollfd{conn.socket->fd(), events, 0});
+    }
+  }
+  WaitFdsMicros(poll_fds_, config_.poll_sleep_us);
+}
+
 bool NetServiceFront::ServeUntilShutdown() {
   uint64_t idle_polls = 0;
   while (!shutdown_received_) {
@@ -494,7 +514,7 @@ bool NetServiceFront::ServeUntilShutdown() {
       std::fprintf(stderr, "net: serve idle budget exhausted; stopping\n");
       return false;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    WaitForEvents(/*flush_only=*/false);
   }
   // Flush the replies still owed to well-behaved clients, on the same progress budget a
   // single connection gets; whoever has not drained by then is dropped with the daemon.
@@ -507,7 +527,7 @@ bool NetServiceFront::ServeUntilShutdown() {
     if (!any_pending) {
       break;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    WaitForEvents(/*flush_only=*/true);
   }
   counters_.disconnects += connections_.size();
   connections_.clear();

@@ -7,10 +7,13 @@
 // The daemon side is a single-threaded, event-driven accept loop: one PollOnce() step
 // accepts pending connections, drains readable bytes, dispatches complete frames into the
 // GrantService, and flushes reply bytes, all on nonblocking sockets — no new threads, no
-// mutexes, and no clock reads anywhere near the scheduling path. Liveness is iteration
-// budgets, exactly like the shm transport: a connection that holds a partial frame or an
-// unflushed reply without making progress for `progress_budget` consecutive polls is
-// disconnected.
+// mutexes, and no clock reads anywhere near the scheduling path. Between steps that move
+// nothing, ServeUntilShutdown blocks in one ppoll over the listener and every connection
+// (readable, plus writable where replies are queued) for at most one poll_sleep_us step,
+// so a request is served as soon as its bytes land. Liveness is iteration budgets, exactly
+// like the shm transport: a connection that holds a partial frame or an unflushed reply
+// without making progress for `progress_budget` consecutive polls is disconnected, and
+// since every wait is capped at one step, budget * step stays the worst-case deadline.
 //
 // Clients are never trusted (the self-stabilizing stance: correctness must survive
 // arbitrarily misbehaving peers):
@@ -33,6 +36,8 @@
 
 #ifndef SRC_SERVICE_NET_TRANSPORT_H_
 #define SRC_SERVICE_NET_TRANSPORT_H_
+
+#include <poll.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -83,7 +88,7 @@ struct NetCounters {
 // input buffer until a complete checksum-clean frame is present; partial writes drain an
 // output buffer as the kernel accepts bytes. EINTR is retried, EAGAIN means "no progress
 // this poll", EOF/EPIPE/ECONNRESET mark the socket dead. Used by both the daemon front and
-// the client (the client simply wraps its polls in budgeted wait loops).
+// the client (the client wraps its polls in budgeted loops that wait for readiness on fd()).
 class FrameSocket {
  public:
   // Takes ownership of `fd` and switches it to nonblocking mode.
@@ -106,6 +111,8 @@ class FrameSocket {
   enum class Next { kFrame, kNone, kCorrupt };
   Next NextFrame(std::string* payload, size_t max_frame_bytes, std::string* error);
 
+  // The descriptor, for readiness waits (WaitFdsMicros); the socket keeps ownership.
+  int fd() const { return fd_; }
   bool dead() const { return dead_; }
   // True while the peer owes us bytes (a partial frame is buffered) or we owe the kernel
   // bytes (unflushed output) — the states the progress budget meters.
@@ -131,8 +138,9 @@ struct NetFrontConfig {
   // Consecutive no-progress polls a connection may hold a partial frame or unflushed
   // output; exhaustion is a disconnect (counted in budget_disconnects).
   uint64_t progress_budget = 40000;
-  // Sleep between idle PollOnce() iterations in ServeUntilShutdown (microseconds; routed
-  // through SleepFullMicros so EINTR never shortens the budget arithmetic).
+  // The longest single wait between idle PollOnce() iterations in ServeUntilShutdown
+  // (microseconds): a ppoll over every socket that ends as soon as one is ready, and whose
+  // EINTRs resume with the remainder, so a signal never shortens the budget arithmetic.
   unsigned int poll_sleep_us = 200;
   // ServeUntilShutdown gives up after this many consecutive totally-idle polls (no
   // connections, no bytes). 0 = serve forever; harnesses set a bound so an orphaned
@@ -153,6 +161,9 @@ class NetListener {
 
   // Accepts one pending connection (nonblocking); -1 when none is waiting.
   int Accept();
+
+  // The listening descriptor, readable while a connection is pending.
+  int fd() const { return fd_; }
 
   const NetAddress& address() const { return address_; }
   // The printable form clients connect to ("unix:<path>" / "tcp:<resolved port>").
@@ -178,12 +189,13 @@ class NetServiceFront {
   ~NetServiceFront();
 
   // One event-loop step: accept, read, dispatch, flush. Returns true if any connection
-  // made progress (the caller sleeps only when nothing moved).
+  // made progress (the caller waits only when nothing moved).
   bool PollOnce();
 
   // Runs PollOnce until a client sends Shutdown (returns true) or the idle budget runs out
-  // (returns false; only with serve_idle_budget > 0). Remaining replies are flushed on a
-  // budget before returning.
+  // (returns false; only with serve_idle_budget > 0), waiting for socket readiness (at most
+  // one step) whenever a step moved nothing. Remaining replies are flushed on a budget
+  // before returning.
   bool ServeUntilShutdown();
 
   bool shutdown_received() const { return shutdown_received_; }
@@ -212,6 +224,10 @@ class NetServiceFront {
   bool ValidateEntry(const SubmitMsg::Entry& entry, std::string* error) const;
   void SendMessage(Connection& conn, const ServiceMessage& message);
   void CloseConnection(size_t index, const char* reason);
+  // Blocks for at most one poll_sleep_us step until a socket is ready: the listener and
+  // every connection for input (unless `flush_only`), plus every live connection with
+  // queued replies for output.
+  void WaitForEvents(bool flush_only);
 
   GrantService* service_;
   const BlockManager* blocks_;
@@ -220,6 +236,7 @@ class NetServiceFront {
   NetFrontConfig config_;
   std::function<void(double)> advance_;
   std::vector<Connection> connections_;
+  std::vector<pollfd> poll_fds_;  // WaitForEvents scratch, reused across waits.
   NetCounters counters_;
   std::vector<std::vector<TaskId>> grant_trace_;
   // Virtual time is daemon-global and monotone: a request instant below the high-water

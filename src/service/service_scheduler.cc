@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/sleep.h"
 #include "src/core/metrics.h"
 #include "src/core/schedule_context.h"
 #include "src/orchestrator/checkpoint.h"
@@ -80,6 +79,7 @@ void ServiceScheduler::AwaitHello(size_t w) {
   while (true) {
     ServiceMessage msg;
     std::string error;
+    uint32_t bell = transport_.reply_bell(w);
     RingPopStatus status = transport_.TryReceive(w, &msg, &error);
     if (status == RingPopStatus::kOk) {
       auto* hello = std::get_if<HelloMsg>(&msg);
@@ -93,7 +93,7 @@ void ServiceScheduler::AwaitHello(size_t w) {
                     "worker " << w << " died during the bind handshake");
     DPACK_CHECK_MSG(++polls < config_.stall_budget,
                     "worker " << w << " never answered Bind (stall budget exhausted)");
-    SleepFullMicros(config_.poll_sleep_us);
+    transport_.AwaitReply(w, bell);
   }
 }
 
@@ -292,6 +292,16 @@ void ServiceScheduler::CollectReplies() {
     return total;
   };
   while (outstanding_total() > 0) {
+    // The round needs every outstanding reply, so blocking on any one owing worker's reply
+    // ring loses nothing: the lowest-indexed one is waited on. Its bell is snapshotted before
+    // any ring is polled, so a reply pushed after the poll below ends the wait at once.
+    size_t waited = workers;
+    for (size_t w = 0; w < workers && waited == workers; ++w) {
+      if (!outstanding_[w].empty() && transport_.alive(w)) {
+        waited = w;
+      }
+    }
+    uint32_t bell = waited < workers ? transport_.reply_bell(waited) : 0;
     bool progress = false;
     for (size_t w = 0; w < workers; ++w) {
       if (outstanding_[w].empty() || !transport_.alive(w)) {
@@ -334,15 +344,16 @@ void ServiceScheduler::CollectReplies() {
       continue;
     }
     // No frame anywhere: look for corpses (waitpid) and hangs (heartbeat stalled for the
-    // whole iteration budget — the heartbeat advances on every worker poll, so a stall of
-    // budget * poll_sleep_us with a live pid means SIGSTOP or a wedge, and the daemon
-    // replaces the worker the same way it replaces a corpse).
+    // whole iteration budget — the heartbeat advances on every wake or timeout of a worker's
+    // wait, so a stall of budget * poll_sleep_us with a live pid means SIGSTOP or a wedge,
+    // and the daemon replaces the worker the same way it replaces a corpse).
     for (size_t w = 0; w < workers; ++w) {
       if (outstanding_[w].empty() || !transport_.alive(w)) {
         continue;
       }
       if (transport_.Poll(w) != ChildState::kRunning) {
         RecoverWorker(w);
+        progress = true;
         continue;
       }
       uint64_t beat = transport_.heartbeat(w);
@@ -352,9 +363,15 @@ void ServiceScheduler::CollectReplies() {
       } else if (++stalled_polls[w] >= config_.stall_budget) {
         transport_.Kill(w, SIGKILL);
         RecoverWorker(w);
+        progress = true;
       }
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    // A recovery re-routed requests (and may have replaced the waited-on worker): re-pick.
+    // Otherwise `waited` is still alive and owing, so the wait below is bounded by one step
+    // and a reply, a death (found by the next waitpid) or a hang all resolve from here.
+    if (!progress) {
+      transport_.AwaitReply(waited, bell);
+    }
   }
 }
 
@@ -401,6 +418,21 @@ std::vector<size_t> ServiceScheduler::ScheduleBatch(std::span<const Task> pendin
     }
   }
 
+  // Fault injection: SIGKILL by raw pid, bypassing the transport bookkeeping — the daemon
+  // must *discover* the death through its own waitpid/heartbeat path, which is the
+  // machinery under test. The kill lands before the round's requests go out and the daemon
+  // waits (without reaping) until it has, so the corpse always dies owing its request: a
+  // worker the diff pushes just woke can never answer first, and the fault schedule, hence
+  // every counter, stays a pure function of the config.
+  if (!kill_fired_ && config_.kill_at_round == round_ &&
+      config_.kill_worker < config_.num_workers) {
+    kill_fired_ = true;
+    if (transport_.alive(config_.kill_worker)) {
+      KillChild(transport_.pid(config_.kill_worker), SIGKILL);
+      AwaitChildExit(transport_.pid(config_.kill_worker));
+    }
+  }
+
   for (size_t w = 0; w < config_.num_workers; ++w) {
     if (!transport_.alive(w)) {
       continue;
@@ -413,17 +445,6 @@ std::vector<size_t> ServiceScheduler::ScheduleBatch(std::span<const Task> pendin
     }
     if (!shards.empty()) {
       SendScoreRequest(w, std::move(shards));
-    }
-  }
-
-  // Fault injection: SIGKILL by raw pid, after the requests are in flight, bypassing the
-  // transport bookkeeping — the daemon must *discover* the death through its own
-  // waitpid/heartbeat path, which is the machinery under test.
-  if (!kill_fired_ && config_.kill_at_round == round_ &&
-      config_.kill_worker < config_.num_workers) {
-    kill_fired_ = true;
-    if (transport_.alive(config_.kill_worker)) {
-      KillChild(transport_.pid(config_.kill_worker), SIGKILL);
     }
   }
 

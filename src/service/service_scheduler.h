@@ -21,9 +21,10 @@
 //      equals the state the round was broadcast against.
 //
 // Death detection is two-pronged (waitpid for corpses, a shared heartbeat for hangs), and
-// every wait is an iteration budget at a fixed poll sleep — no clock reads anywhere on the
-// scheduling path (scripts/dpack_lint.py enforces the same nondeterminism rules here as in
-// src/core).
+// every wait is an iteration budget of bounded steps — a reply wait blocks on the worker's
+// reply-ring doorbell for at most one poll_sleep_us step, then waitpid and the heartbeat are
+// re-checked — with no clock reads anywhere on the scheduling path (scripts/dpack_lint.py
+// enforces the same nondeterminism rules here as in src/core).
 
 #ifndef SRC_SERVICE_SERVICE_SCHEDULER_H_
 #define SRC_SERVICE_SERVICE_SCHEDULER_H_
@@ -62,10 +63,11 @@ struct ServiceConfig {
   size_t ring_bytes = 1 << 20;
   unsigned int poll_sleep_us = 50;
   uint64_t stall_budget = 40000;
-  // Fault injection for the crash suites: after the score requests of round `kill_at_round`
-  // (1-based; 0 = never) have been sent, SIGKILL worker `kill_worker` directly by pid —
-  // bypassing the transport bookkeeping, so the daemon's own detection path (waitpid +
-  // heartbeat) is what finds the corpse. Fires once.
+  // Fault injection for the crash suites: once the diffs of round `kill_at_round` (1-based;
+  // 0 = never) are broadcast, SIGKILL worker `kill_worker` directly by pid and wait for it
+  // to die, then send the round's score requests, so the corpse always owes one — bypassing
+  // the transport bookkeeping, so the daemon's own detection path (waitpid + heartbeat) is
+  // what finds it. Fires once.
   uint64_t kill_at_round = 0;
   size_t kill_worker = 0;
   // When set, the final counter values are copied here at destruction (the sim driver owns

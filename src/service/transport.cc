@@ -49,6 +49,7 @@ bool WorkerEndpoint::Receive(ServiceMessage* out) {
   std::string frame;
   while (true) {
     control_->heartbeat.fetch_add(1, std::memory_order_relaxed);
+    uint32_t bell = in_.bell();
     RingPopStatus status = in_.TryPop(&frame);
     if (status == RingPopStatus::kOk) {
       break;
@@ -59,7 +60,7 @@ bool WorkerEndpoint::Receive(ServiceMessage* out) {
     if (DaemonGone()) {
       return false;
     }
-    SleepFullMicros(poll_sleep_us_);
+    in_.WaitForPush(bell, poll_sleep_us_);
   }
   std::string error;
   return DecodeMessage(frame, out, &error);
@@ -215,6 +216,16 @@ RingPopStatus ServiceTransport::TryReceive(size_t w, ServiceMessage* out,
     return RingPopStatus::kCorrupt;
   }
   return RingPopStatus::kOk;
+}
+
+uint32_t ServiceTransport::reply_bell(size_t w) const {
+  DPACK_CHECK(w < slots_.size());
+  return slots_[w].from_worker->bell();
+}
+
+void ServiceTransport::AwaitReply(size_t w, uint32_t seen) const {
+  DPACK_CHECK(w < slots_.size());
+  slots_[w].from_worker->WaitForPush(seen, config_.poll_sleep_us);
 }
 
 ChildState ServiceTransport::Poll(size_t w) {

@@ -8,7 +8,9 @@
 // worker) and the shared heartbeat counter for hangs (a stopped or wedged worker whose pid
 // is still live). Both are driven by *iteration budgets*, not wall-clock deadlines — the
 // scheduling path stays free of clock reads (scripts/dpack_lint.py nondeterministic-source),
-// and a stall budget of N polls at a fixed sleep is a deadline all the same.
+// and a stall budget of N waits of at most one step each is a deadline all the same. A
+// consumer facing an empty ring blocks on the ring's doorbell (src/common/shm_ring.h), which
+// every push rings, for at most one poll_sleep_us step.
 //
 // Crash isolation contract: a worker may die (SIGKILL) at any instant. The rings only ever
 // expose complete checksummed frames (src/common/shm_ring.h), Send() to a dead worker
@@ -55,16 +57,18 @@ struct TransportConfig {
   // Bytes per ring direction (two rings per worker). One megabyte holds any test-sized
   // refresh batch; a full ring is a counted stall, not an error.
   size_t ring_bytes = 1 << 20;
-  // Sleep per empty/full poll iteration, microseconds. Iteration counts, not elapsed time,
-  // bound every wait: budget * sleep is the effective deadline.
+  // The longest single wait, microseconds: an empty-ring wait blocks on the ring's doorbell
+  // for at most this long (a push ends it early), and a full-ring or reaping wait sleeps
+  // exactly this long. Iteration counts, not elapsed time, bound every wait loop: budget *
+  // step is the worst-case deadline.
   unsigned int poll_sleep_us = 50;
   // Poll iterations a blocking daemon-side wait may spin before declaring the peer hung.
   uint64_t stall_budget = 40000;
 };
 
 // The child-process side of one worker slot: pops daemon→worker frames, pushes
-// worker→daemon frames, bumps the shared heartbeat on every poll so the daemon can tell a
-// hung worker from a merely idle one. Constructed inside the forked child by
+// worker→daemon frames, bumps the shared heartbeat on every wake or timeout of its wait so
+// the daemon can tell a hung worker from a merely idle one. Constructed inside the forked child by
 // ServiceTransport; user code receives it through the WorkerBody callback.
 class WorkerEndpoint {
  public:
@@ -79,9 +83,10 @@ class WorkerEndpoint {
   // must end rather than spin orphaned. getppid is a pure process-tree read, not a clock.
   bool DaemonGone() const;
 
-  // Blocks until one message arrives from the daemon (bumping the heartbeat every poll) and
-  // decodes it. Returns false on ring corruption or an undecodable frame — the worker
-  // should exit nonzero; the daemon sees the death and recovers. If the daemon itself dies
+  // Blocks until one message arrives from the daemon (waiting on the inbound ring's doorbell
+  // one step at a time, bumping the heartbeat after every wake or timeout) and decodes it.
+  // Returns false on ring corruption or an undecodable frame — the worker should exit
+  // nonzero; the daemon sees the death and recovers. If the daemon itself dies
   // (the worker is reparented), the wait ends and false is returned instead of spinning
   // orphaned forever.
   bool Receive(ServiceMessage* out);
@@ -140,6 +145,14 @@ class ServiceTransport {
   // Non-blocking pop from worker w's outbound ring. kOk decodes into *out (an undecodable
   // frame reports kCorrupt with *error set); kEmpty/kCorrupt leave *out untouched.
   RingPopStatus TryReceive(size_t w, ServiceMessage* out, std::string* error);
+
+  // Doorbell of worker w's outbound ring. Snapshot it before the TryReceive that may come
+  // back empty, then hand it to AwaitReply.
+  uint32_t reply_bell(size_t w) const;
+  // Blocks for at most one poll_sleep_us step until worker w pushes past `seen`. A push, a
+  // stale snapshot or the step's end all return; the caller re-polls and re-checks liveness
+  // either way, so a worker that dies mid-wait costs at most one step to detect.
+  void AwaitReply(size_t w, uint32_t seen) const;
 
   // Re-checks worker w's process state via waitpid. A terminal result (exit or signal)
   // reaps the child and marks the slot dead; safe to call repeatedly afterwards.

@@ -18,6 +18,7 @@ VIOLATIONS = {
     "raw_mutex_violation.cc": ("src/common/queue.cc", {"raw-mutex"}),
     "raw_affinity_violation.cc": ("src/core/pinning.cc", {"raw-affinity"}),
     "raw_sleep_violation.cc": ("src/service/poll.cc", {"raw-sleep"}),
+    "raw_wait_violation.cc": ("src/service/wait.cc", {"raw-wait"}),
     "unordered_iteration_violation.cc": ("src/core/order.cc", {"unordered-iteration"}),
     "unordered_member_violation.cc": ("src/core/tracker.cc", {"unordered-member"}),
     "nondeterministic_source_violation.cc": ("src/core/jitter.cc",
@@ -53,7 +54,8 @@ class FixtureViolations(unittest.TestCase):
 
     def test_grant_ordering_rules_scoped_to_grant_dirs(self):
         # The same unordered iteration outside src/core|src/block|src/service is not in
-        # scope (only the raw-mutex, raw-affinity and raw-sleep rules are tree-wide).
+        # scope (only the raw-mutex, raw-affinity, raw-sleep and raw-wait rules are
+        # tree-wide).
         proc = run_lint("--fixture",
                         os.path.join(FIXTURES, "unordered_iteration_violation.cc"),
                         "--as", "src/workload/order.cc")
@@ -175,6 +177,22 @@ class RealTree(unittest.TestCase):
         proc = run_lint("--fixture", os.path.join(FIXTURES, "raw_sleep_violation.cc"),
                         "--as", "tests/common/pace_test.cc")
         self.assertEqual(proc.stdout.count("[raw-sleep]"), 3, proc.stdout)
+
+    def test_wait_module_is_the_only_raw_wait_site(self):
+        # The wait module's own ppoll and futex syscalls, linted as any other path in any
+        # covered code dir, must fire; and the fixture must trip once per call form (poll,
+        # ppoll, select, epoll_wait, the futex syscall), so no form silently stops matching.
+        source = os.path.join(REPO_ROOT, "src", "common", "sleep.cc")
+        for as_path in ("src/service/net_transport.cc", "src/common/shm_ring.cc",
+                        "bench/wait_leg.cc", "tests/common/wait_test.cc",
+                        "examples/wait_demo.cpp"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", source, "--as", as_path)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertIn("[raw-wait]", proc.stdout)
+        proc = run_lint("--fixture", os.path.join(FIXTURES, "raw_wait_violation.cc"),
+                        "--as", "tests/common/wait_test.cc")
+        self.assertEqual(proc.stdout.count("[raw-wait]"), 5, proc.stdout)
 
 
 if __name__ == "__main__":

@@ -67,4 +67,12 @@ struct CleanQueue {
   }
 };
 
+// Capitalized or longer names that merely contain a wait verb are not wait calls (raw-wait).
+struct CleanTransport {
+  bool Poll(int w) const { return w > 0; }
+  bool PollOnce() const { return Poll(1); }
+  int poll_count = 0;
+  int Selected() const { return poll_count; }
+};
+
 }  // namespace dpack

@@ -1,7 +1,8 @@
 // Crash isolation proofs for the service fleet: SIGKILL any worker at a (seeded) random
 // score round, under both recovery policies and multiple fleet shapes, and the grant trace
 // must stay byte-identical to the uninterrupted service run AND to the in-process engine.
-// Also: a hung (SIGSTOPped) worker is detected by heartbeat stall and recovered; and the
+// Also: a hung (SIGSTOPped) worker is detected by heartbeat stall and recovered, and a
+// worker killed while the daemon is blocked on its reply is found by waitpid; and the
 // checkpoint codec resumes a killed service run on an entirely fresh fleet with the
 // stitched trace equal to the uninterrupted one. And a worker whose daemon is killed exits
 // instead of spinning orphaned, even when a child subreaper (not pid 1) adopts it.
@@ -12,6 +13,7 @@
 
 #include <csignal>
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -145,26 +147,44 @@ TEST(ServiceRecoveryTest, FcfsSurvivesKill) {
   EXPECT_EQ(result.counters.recoveries, 1u);
 }
 
+// Two-cycle fixture for the fault-mid-round tests: four unlocked blocks, four tasks per
+// cycle, each task on two adjacent blocks, so both shards of a two-worker fleet score.
+BlockManager FourUnlockedBlocks() {
+  BlockManager blocks(Grid(), 10.0, 1e-7);
+  for (int b = 0; b < 4; ++b) blocks.AddBlock(0.0, /*unlocked=*/true);
+  return blocks;
+}
+
+std::vector<Task> FourTaskBatch(int64_t first_id) {
+  std::vector<Task> tasks;
+  for (int i = 0; i < 4; ++i) {
+    Task task(first_id + i, /*weight=*/1.0, Pool().capacity().Scaled(0.1));
+    task.blocks = {i % 4, (i + 1) % 4};
+    task.arrival_time = 0.0;
+    tasks.push_back(std::move(task));
+  }
+  return tasks;
+}
+
+// The second cycle's grants of an in-process run of the same two cycles.
+std::vector<TaskId> InProcessSecondCycleGrants() {
+  BlockManager reference_blocks = FourUnlockedBlocks();
+  auto inner = std::make_unique<GreedyScheduler>(
+      GreedyMetric::kDpack, GreedySchedulerOptions{.eta = 0.05, .incremental = true});
+  OnlineScheduler reference(std::move(inner), &reference_blocks, OnlineSchedulerConfig{});
+  for (Task& task : FourTaskBatch(0)) EXPECT_TRUE(reference.Submit(std::move(task)));
+  reference.RunCycle(0.0);
+  for (Task& task : FourTaskBatch(100)) EXPECT_TRUE(reference.Submit(std::move(task)));
+  reference.RunCycle(1.0);
+  return reference.last_granted();
+}
+
 // A worker that stops making progress without dying (SIGSTOP) must be detected by the
 // heartbeat stall, killed by the daemon, and recovered — same grants as a healthy run.
+// The daemon is blocked on the frozen worker's reply bell the whole time, so this also pins
+// that every wait that ends empty still advances the stall budget by one step.
 TEST(ServiceRecoveryTest, HungWorkerDetectedByHeartbeat) {
-  auto build_blocks = []() {
-    BlockManager blocks(Grid(), 10.0, 1e-7);
-    for (int b = 0; b < 4; ++b) blocks.AddBlock(0.0, /*unlocked=*/true);
-    return blocks;
-  };
-  auto batch = [](int64_t first_id) {
-    std::vector<Task> tasks;
-    for (int i = 0; i < 4; ++i) {
-      Task task(first_id + i, /*weight=*/1.0, Pool().capacity().Scaled(0.1));
-      task.blocks = {i % 4, (i + 1) % 4};
-      task.arrival_time = 0.0;
-      tasks.push_back(std::move(task));
-    }
-    return tasks;
-  };
-
-  BlockManager service_blocks = build_blocks();
+  BlockManager service_blocks = FourUnlockedBlocks();
   GrantServiceConfig config;
   config.service.num_workers = 2;
   config.service.num_shards = 2;
@@ -172,29 +192,50 @@ TEST(ServiceRecoveryTest, HungWorkerDetectedByHeartbeat) {
   config.service.poll_sleep_us = 20;
   config.service.stall_budget = 3000;
   GrantService service(GreedyMetric::kDpack, &service_blocks, config);
-  for (Task& task : batch(0)) ASSERT_TRUE(service.Submit(std::move(task)));
+  for (Task& task : FourTaskBatch(0)) ASSERT_TRUE(service.Submit(std::move(task)));
   ASSERT_EQ(service.RunCycle(0.0), 4u);
 
   // Freeze worker 1 mid-service. The next cycle's score request to it goes unanswered; the
   // daemon must notice the flat heartbeat, SIGKILL it, and reassign its shard.
   pid_t hung = service.scheduler().transport().pid(1);
   KillChild(hung, SIGSTOP);
-  for (Task& task : batch(100)) ASSERT_TRUE(service.Submit(std::move(task)));
+  for (Task& task : FourTaskBatch(100)) ASSERT_TRUE(service.Submit(std::move(task)));
   EXPECT_EQ(service.RunCycle(1.0), 4u);
   EXPECT_EQ(service.counters().recoveries, 1u);
   EXPECT_FALSE(service.scheduler().transport().alive(1));
 
   // The recovered fleet's grants match an in-process run of the same two cycles.
-  BlockManager reference_blocks = build_blocks();
-  auto inner = std::make_unique<GreedyScheduler>(
-      GreedyMetric::kDpack, GreedySchedulerOptions{.eta = 0.05, .incremental = true});
-  OnlineScheduler reference(std::move(inner), &reference_blocks, OnlineSchedulerConfig{});
-  for (Task& task : batch(0)) ASSERT_TRUE(reference.Submit(std::move(task)));
-  reference.RunCycle(0.0);
-  std::vector<TaskId> first_cycle = reference.last_granted();
-  for (Task& task : batch(100)) ASSERT_TRUE(reference.Submit(std::move(task)));
-  reference.RunCycle(1.0);
-  EXPECT_EQ(service.last_granted(), reference.last_granted());
+  EXPECT_EQ(service.last_granted(), InProcessSecondCycleGrants());
+}
+
+// A worker SIGKILLed while the daemon is blocked on its reply bell: a corpse never rings
+// the bell, so only the wait's one-step bound and the waitpid after it can end the round.
+// The stall budget is effectively infinite here, so the heartbeat path cannot be what
+// finds it; a daemon that slept through the death would hang this test.
+TEST(ServiceRecoveryTest, WorkerKilledWhileDaemonBlockedOnItsReply) {
+  BlockManager service_blocks = FourUnlockedBlocks();
+  GrantServiceConfig config;
+  config.service.num_workers = 2;
+  config.service.num_shards = 2;
+  config.service.stall_budget = std::numeric_limits<uint64_t>::max();
+  GrantService service(GreedyMetric::kDpack, &service_blocks, config);
+  for (Task& task : FourTaskBatch(0)) ASSERT_TRUE(service.Submit(std::move(task)));
+  ASSERT_EQ(service.RunCycle(0.0), 4u);
+
+  // Frozen, worker 1 cannot answer the next score request, so the daemon blocks on its
+  // reply bell; a separate process delivers the SIGKILL while that wait is in progress.
+  pid_t victim = service.scheduler().transport().pid(1);
+  KillChild(victim, SIGSTOP);
+  pid_t killer = SpawnChild([victim]() {
+    SleepFullMicros(50'000);
+    return kill(victim, SIGKILL) == 0 ? 0 : 1;
+  });
+  for (Task& task : FourTaskBatch(100)) ASSERT_TRUE(service.Submit(std::move(task)));
+  EXPECT_EQ(service.RunCycle(1.0), 4u);
+  EXPECT_EQ(WaitChild(killer).exit_code, 0);
+  EXPECT_EQ(service.counters().recoveries, 1u);
+  EXPECT_FALSE(service.scheduler().transport().alive(1));
+  EXPECT_EQ(service.last_granted(), InProcessSecondCycleGrants());
 }
 
 // Checkpoint + resume on a brand-new fleet: the service composes with the recovery
