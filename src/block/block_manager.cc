@@ -8,6 +8,37 @@
 
 namespace dpack {
 
+void BlockChangeCursor::Poll(const BlockManager& blocks) {
+  size_t count = blocks.block_count();
+  size_t known = version_seen_.size();
+  DPACK_CHECK_MSG(count >= known, "blocks disappeared: use a fresh cursor per manager");
+  changed_.clear();
+  // Drill into groups whose version sum moved; within them, only blocks whose recorded
+  // version moved are changed. Arrivals are recorded afterwards, so they are never listed.
+  const BlockVersionTree& tree = blocks.version_tree();
+  group_seen_.resize(tree.group_count(), 0);
+  for (size_t g = 0; g < group_seen_.size(); ++g) {
+    uint64_t sum = tree.group_sum(g);
+    if (sum == group_seen_[g]) {
+      continue;
+    }
+    group_seen_[g] = sum;
+    size_t begin = g << BlockVersionTree::kGroupShift;
+    size_t end = std::min(begin + (size_t{1} << BlockVersionTree::kGroupShift), known);
+    for (size_t i = begin; i < end; ++i) {
+      uint64_t version = blocks.block(static_cast<BlockId>(i)).version();
+      if (version != version_seen_[i]) {
+        version_seen_[i] = version;
+        changed_.push_back(static_cast<BlockId>(i));
+      }
+    }
+  }
+  arrived_begin_ = known;
+  for (size_t i = known; i < count; ++i) {
+    version_seen_.push_back(blocks.block(static_cast<BlockId>(i)).version());
+  }
+}
+
 BlockManager::BlockManager(AlphaGridPtr grid, double eps_g, double delta_g)
     : grid_(std::move(grid)),
       eps_g_(eps_g),
@@ -87,7 +118,7 @@ BlockManager BlockManager::Clone() const {
   }
   copy.slot_of_id_ = slot_of_id_;
   copy.unlocking_ids_ = unlocking_ids_;
-  copy.retire_group_seen_ = retire_group_seen_;
+  copy.retire_cursor_ = retire_cursor_;
   return copy;
 }
 
@@ -146,9 +177,9 @@ BlockManager BlockManager::Restore(AlphaGridPtr grid, double eps_g, double delta
 
   // Rebuild the derived state in id order so it is deterministic: the version tree's sums
   // (a pure function of block versions), the unlock work list, and the retirement sweep's
-  // group observations. Seeding retire_group_seen_ with the current sums makes the first
-  // post-restore sweep behave exactly like the next sweep of the uninterrupted run: the
-  // snapshot was captured after a sweep, so no unchanged group holds an eligible block.
+  // cursor. Seeding the cursor at the restored state makes the first post-restore sweep
+  // behave exactly like the next sweep of the uninterrupted run: the snapshot was captured
+  // after a sweep, so every block eligible then was already retired.
   for (size_t i = 0; i < manager.slot_of_id_.size(); ++i) {
     BlockId id = static_cast<BlockId>(i);
     manager.version_tree_->SeedVersion(id, manager.block(id).version());
@@ -156,10 +187,7 @@ BlockManager BlockManager::Restore(AlphaGridPtr grid, double eps_g, double delta
       manager.unlocking_ids_.push_back(id);
     }
   }
-  manager.retire_group_seen_.resize(manager.version_tree_->group_count());
-  for (size_t g = 0; g < manager.retire_group_seen_.size(); ++g) {
-    manager.retire_group_seen_[g] = manager.version_tree_->group_sum(g);
-  }
+  manager.retire_cursor_.Poll(manager);  // Report ignored: seeds the cursor.
   return manager;
 }
 
@@ -202,30 +230,27 @@ void BlockManager::RetireHotSlot(size_t slot) {
 }
 
 size_t BlockManager::RetireNewlyExhausted() {
-  retire_group_seen_.resize(version_tree_->group_count(), 0);
+  retire_cursor_.Poll(*this);
   size_t retired_now = 0;
-  size_t total = slot_of_id_.size();
-  for (size_t g = 0; g < retire_group_seen_.size(); ++g) {
-    uint64_t sum = version_tree_->group_sum(g);
-    if (sum == retire_group_seen_[g]) {
-      continue;  // No member version advanced, so no member became eligible.
+  // Changed ids all precede the arrivals, so the candidates come in ascending id order.
+  auto consider = [&](size_t id) {
+    uint64_t slot = slot_of_id_[id];
+    if ((slot & kRetiredTierBit) != 0) {
+      return;
     }
-    retire_group_seen_[g] = sum;
-    size_t begin = g << BlockVersionTree::kGroupShift;
-    size_t end = std::min(begin + (size_t{1} << BlockVersionTree::kGroupShift), total);
-    for (size_t i = begin; i < end; ++i) {
-      uint64_t slot = slot_of_id_[i];
-      if ((slot & kRetiredTierBit) != 0) {
-        continue;
-      }
-      const PrivacyBlock& candidate = hot_[slot];
-      // Retire only when no future mutation is possible: fully unlocked (unlocking is
-      // monotone and capped) and exhausted at every usable order (consumption only grows).
-      if (candidate.unlocked_fraction() >= 1.0 && candidate.Exhausted()) {
-        RetireHotSlot(slot);
-        ++retired_now;
-      }
+    const PrivacyBlock& candidate = hot_[slot];
+    // Retire only when no future mutation is possible: fully unlocked (unlocking is
+    // monotone and capped) and exhausted at every usable order (consumption only grows).
+    if (candidate.unlocked_fraction() >= 1.0 && candidate.Exhausted()) {
+      RetireHotSlot(slot);
+      ++retired_now;
     }
+  };
+  for (BlockId id : retire_cursor_.changed()) {
+    consider(static_cast<size_t>(id));
+  }
+  for (size_t id = retire_cursor_.arrived_begin(); id < retire_cursor_.known(); ++id) {
+    consider(id);
   }
   return retired_now;
 }

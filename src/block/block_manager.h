@@ -10,8 +10,10 @@
 // proportional to the live population, not to history.
 //
 // Change detection is hierarchical: every version bump is reported to a BlockVersionTree
-// (src/block/version_tree.h), so consumers locate changed blocks by scanning group sums
-// (64 ids per group) instead of every block's version.
+// (src/block/version_tree.h), and a BlockChangeCursor turns the tree into "which blocks
+// arrived or changed since I last looked?" by scanning group sums (64 ids per group)
+// instead of every block's version. Every consumer asks through a cursor: the engine's
+// refresh, the retirement sweep, and the grant service's replica diffs.
 
 #ifndef SRC_BLOCK_BLOCK_MANAGER_H_
 #define SRC_BLOCK_BLOCK_MANAGER_H_
@@ -30,6 +32,37 @@ namespace dpack {
 struct BlockPlacement {
   bool retired = false;
   uint64_t slot = 0;
+};
+
+class BlockManager;
+
+// One consumer's position in a manager's change history. Each Poll reports what happened
+// since the previous one: the blocks that arrived (ids arrived_begin() .. known() - 1; ids
+// are dense and arrival-ordered) and, separately, the ascending ids of previously known
+// blocks whose version moved. Arrivals are never listed as changed. Polling is
+// O(arrivals + groups + 64 x changed groups): only groups whose version sum moved are
+// drilled into, and within them only blocks whose version differs from the one this cursor
+// recorded. The changed list is a reused member buffer, so steady-state polls allocate
+// nothing.
+//
+// The cursor holds no reference to a manager. Each Poll may pass the manager the previous
+// poll saw or any Clone or Restore of it carrying later changes (both keep the epoch, the
+// versions and the version tree, which is all the cursor compares). A manager with fewer
+// blocks than the cursor knows is rejected by a check. A poll whose report is ignored seeds
+// the cursor at the manager's current state.
+class BlockChangeCursor {
+ public:
+  void Poll(const BlockManager& blocks);
+
+  size_t arrived_begin() const { return arrived_begin_; }
+  size_t known() const { return version_seen_.size(); }
+  const std::vector<BlockId>& changed() const { return changed_; }
+
+ private:
+  size_t arrived_begin_ = 0;
+  std::vector<uint64_t> version_seen_;  // Per known id: its version at the last poll.
+  std::vector<uint64_t> group_seen_;    // Version-tree group sums at the last poll.
+  std::vector<BlockId> changed_;
 };
 
 class BlockManager {
@@ -91,12 +124,13 @@ class BlockManager {
   void UpdateUnlocks(double now, double period, int64_t unlock_steps);
 
   // Retires every hot block that can provably never change again: Exhausted() with the full
-  // budget unlocked (so no future unlock or admissible commit can touch it). Scans only
-  // groups whose version sum advanced since the previous sweep — a block becomes eligible
-  // only at a version bump, so an unchanged group cannot contain a newly eligible block.
-  // Retirement order is id order within a sweep, which makes the slab layout a deterministic
-  // function of the commit/unlock history (identical across engines and across
-  // checkpoint/resume). Returns the number of blocks retired by this sweep.
+  // budget unlocked (so no future unlock or admissible commit can touch it). The candidates
+  // are the blocks that arrived or changed since the previous sweep (a cursor poll): a block
+  // becomes eligible only through its own commit or effective unlock, so an unchanged block
+  // cannot be newly eligible. Retirement order is id order within a sweep, which makes the
+  // slab layout a deterministic function of the commit/unlock history (identical across
+  // engines and across checkpoint/resume). Returns the number of blocks retired by this
+  // sweep.
   size_t RetireNewlyExhausted();
 
   // Deep copy of the manager and all block states (capacities, consumption, unlocking).
@@ -132,8 +166,8 @@ class BlockManager {
   // Ids with unlocked_fraction < 1 — UpdateUnlocks' work list. Membership is a set (the
   // unlock rule is per-block and order-independent); ids swap-pop out on reaching 1.
   std::vector<BlockId> unlocking_ids_;
-  // Version-tree group sums at the last retirement sweep.
-  std::vector<uint64_t> retire_group_seen_;
+  // The retirement sweep's position in the change history.
+  BlockChangeCursor retire_cursor_;
   // Heap-pinned so block sink pointers survive manager moves.
   std::unique_ptr<BlockVersionTree> version_tree_;
 };

@@ -1,8 +1,11 @@
 // Two-level version clock over the block population (ISSUE 6): the root is the sum of all
 // block versions, the inner level sums versions per group of 64 consecutive ids. Every
 // version bump (Commit, effective unlock) is pushed into the tree by the block itself, so
-// consumers detect "anything changed?" in O(1) and locate the changed blocks in
-// O(groups + changed) instead of scanning every block's version each cycle.
+// changed blocks are located in O(groups + changed) instead of by scanning every block's
+// version each cycle. The tree has one reader that drills into it: BlockChangeCursor
+// (src/block/block_manager.h), through which the engine, the retirement sweep and the grant
+// service's diffs all ask what changed. total() alone is the manager-level clock the async
+// engine revalidates at quiesce.
 //
 // Invariant: group_sum(g) == sum of version() over blocks with id >> kGroupShift == g, and
 // total() == sum of all group sums. Versions are monotone, so the sums are monotone and a

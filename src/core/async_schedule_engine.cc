@@ -7,12 +7,11 @@ namespace dpack {
 
 AsyncScheduleEngine::AsyncScheduleEngine(GreedyMetric metric, double eta, size_t num_shards)
     : ScheduleContext(metric, eta, num_shards, /*pool_workers=*/0),
-      ring_stamps_(num_shards),
       early_(num_shards),
       late_(num_shards) {
   rings_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    rings_.push_back(std::make_unique<SpscRing<ClockStamp>>());
+    rings_.push_back(std::make_unique<SpscRing<Frame>>());
   }
   threads_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
@@ -34,7 +33,7 @@ AsyncScheduleEngine::~AsyncScheduleEngine() {
 
 bool AsyncScheduleEngine::AllBlocksHome(const Task& task, size_t s) const {
   for (BlockId j : task.blocks) {
-    if (partition_->ShardOf(j) != s) {
+    if (ShardOf(j) != s) {
       return false;
     }
   }
@@ -66,13 +65,6 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
     const BlockManager* blocks = cycle_blocks_;
     uint64_t previous_cycle = cycle_previous_;
     lock.Unlock();
-
-    // Stamp the shard's clocks (lock-free atomic reads) before touching any capacity
-    // state; the publication step revalidates the stamp — the quiesce proof that no Sync
-    // ran while this snapshot was built.
-    ClockStamp stamp;
-    stamp.epoch = partition_->shard_epoch(s);
-    stamp.version = partition_->shard_version(s);
 
     // Phase 2 body: refresh owned blocks (shard-owned writes only).
     SyncShardBlocks(s, *blocks, pending);
@@ -138,18 +130,13 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
       MergeShardHeap(shard);
     }
 
-    // Revalidate the clock stamp: versions are monotone, so unchanged (epoch, version)
-    // proves the shard's whole capacity state is still exactly what the scores saw.
-    stamp.valid = stamp.epoch == partition_->shard_epoch(s) &&
-                  stamp.version == partition_->shard_version(s);
-
     // Publish: one epoch-stamped push onto this shard's private SPSC ring. The push's
-    // release store makes the heap, the counters (incremented before the push), and the
-    // stamp visible to the driver's acquire pop — no lock from the fence to the next
-    // dispatch wait. The ring can only be full if a driver stopped draining (a protocol
-    // violation); the retry spin is counted so the bench gate would catch it.
+    // release store makes the heap and the counters (incremented before the push) visible
+    // to the driver's acquire pop — no lock from the fence to the next dispatch wait. The
+    // ring can only be full if a driver stopped draining (a protocol violation); the retry
+    // spin is counted so the bench gate would catch it.
     ++shard.partial.ring_publishes;
-    while (!rings_[s]->TryPush(seen, stamp)) {
+    while (!rings_[s]->TryPush(seen, Frame{})) {
       ++shard.partial.ring_retries;
       std::this_thread::yield();
     }
@@ -159,6 +146,10 @@ void AsyncScheduleEngine::ShardLoop(size_t s) {
 
 bool AsyncScheduleEngine::RunPhases(std::span<const Task> pending, const BlockManager& blocks,
                                     uint64_t previous_cycle) {
+  // The manager's clock at dispatch; the shard threads only read the manager, so it must
+  // be unchanged at quiesce.
+  const uint64_t epoch = blocks.epoch();
+  const uint64_t total = blocks.version_tree().total();
   uint64_t seq = 0;
   {
     MutexLock lock(mu_);
@@ -170,10 +161,10 @@ bool AsyncScheduleEngine::RunPhases(std::span<const Task> pending, const BlockMa
   }
   dispatch_cv_.NotifyAll();
 
-  // Quiesce: consume every shard's publication for this cycle, then validate every stamp.
+  // Quiesce: consume every shard's publication for this cycle, then revalidate the clock.
   // Pop each ring until this cycle's frame (epoch == seq) arrives. A frame from any other
-  // epoch is a stale publication — impossible under the cycle protocol, handled exactly
-  // like a stale stamp: counted, discarded, cycle abandoned below.
+  // dispatch is a stale publication — impossible under the cycle protocol, handled exactly
+  // like a moved clock: counted, discarded, cycle abandoned below.
   uint64_t stale = 0;
   ring_done_.assign(num_shards_, 0);
   size_t remaining = num_shards_;
@@ -183,12 +174,11 @@ bool AsyncScheduleEngine::RunPhases(std::span<const Task> pending, const BlockMa
       if (ring_done_[s] != 0) {
         continue;
       }
-      uint64_t epoch = 0;
-      ClockStamp stamp;
-      while (rings_[s]->TryPop(&epoch, &stamp)) {
+      uint64_t frame_seq = 0;
+      Frame frame;
+      while (rings_[s]->TryPop(&frame_seq, &frame)) {
         progressed = true;
-        if (epoch == seq) {
-          ring_stamps_[s] = stamp;
+        if (frame_seq == seq) {
           ring_done_[s] = 1;
           --remaining;
           break;
@@ -205,10 +195,12 @@ bool AsyncScheduleEngine::RunPhases(std::span<const Task> pending, const BlockMa
     cycle_pending_ = {};
     cycle_blocks_ = nullptr;
   }
-  for (const ClockStamp& stamp : ring_stamps_) {
-    if (!stamp.valid) {
-      ++stale;
-    }
+  // Every shard thread's work lies inside the dispatch-to-quiesce window, and versions
+  // only grow, so an unchanged clock proves no shard read a state that has since moved. A
+  // moved clock cannot tell which shard it touched: every publication of the cycle is
+  // stale.
+  if (blocks.epoch() != epoch || blocks.version_tree().total() != total) {
+    stale += num_shards_;
   }
 
   // Every shard published this cycle, and each thread's pin attempt preceded its first
@@ -217,9 +209,9 @@ bool AsyncScheduleEngine::RunPhases(std::span<const Task> pending, const BlockMa
   stats_.pin_failures = pin_failures_.load(std::memory_order_relaxed);
 
   if (stale > 0) {
-    // A Sync ran while snapshots were being built — the cycle protocol was violated.
-    // Abandon the cycle (ScheduleBatch falls back to the recompute reference) and account
-    // for the discarded speculation.
+    // The manager changed while snapshots were being built — the cycle protocol was
+    // violated. Abandon the cycle (ScheduleBatch falls back to the recompute reference) and
+    // account for the discarded speculation.
     pending_stale_publishes_ = stale;
     uint64_t wasted = 0;
     for (const ShardContext& shard : shards_) {

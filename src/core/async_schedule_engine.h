@@ -1,9 +1,8 @@
 // Async scheduling engine: the ScheduleContext subclass that replaces its fork-join cycle
-// with continuously-running shard threads. One persistent scheduler thread per shard
-// watches for work against its shard's (epoch, version) clocks in ShardedBlockManager
-// (lock-free atomic reads), rescores its home tasks, and publishes a freshest-heap
-// snapshot; a scheduling cycle then only performs the deterministic N-way heap merge +
-// sequential CANRUN walk over the published snapshots.
+// with continuously-running shard threads. One persistent scheduler thread per shard waits
+// for a dispatch, refreshes its owned blocks, rescores its home tasks, and publishes a
+// freshest-heap snapshot; a scheduling cycle then only performs the deterministic N-way heap
+// merge + sequential CANRUN walk over the published snapshots.
 // Grants are byte-identical to the synchronous engine at any shard count (and hence to
 // RecomputeScheduleBatch) — pinned by the async differential traces in
 // tests/core/incremental_equivalence_test.cc and raced by tests/core/async_engine_soak_test.
@@ -11,10 +10,11 @@
 // Publication protocol (overrides ScheduleContext::RunPhases; the phase *bodies* are the
 // base class's):
 //
-//   dispatch   The driver thread finishes the sequential prologue (ShardedBlockManager::
-//              Sync absorbs arrivals and advances the atomic per-shard clocks; the batch is
-//              partitioned by home shard) and bumps the dispatch sequence. Shard threads
-//              wake; each stamps its shard's (epoch, version) clocks lock-free.
+//   dispatch   The driver thread finishes the sequential prologue (the engine's
+//              BlockChangeCursor polls the manager, arrivals are appended and changed ids
+//              bucketed by owning shard; the batch is partitioned by home shard), reads the
+//              manager's (epoch(), version_tree().total()) clock, and bumps the dispatch
+//              sequence. Shard threads wake.
 //   refresh    Each thread refreshes its owned blocks in the shared capacity snapshot and
 //              solves its dirty owned best-alpha subproblems (phase 2 body), writing only
 //              shard-owned entries.
@@ -26,24 +26,25 @@
 //   fence      A single barrier among the shard threads: every shard's refresh (snapshot
 //              entries, dirty flags, best alphas) happens-before every shard's cross-shard
 //              scoring reads.
-//   late       The thread scores its remaining home tasks (cross-shard block lists), merges
-//              its sorted heap with the cycle's rescored entries (shared MergeScoreHeap),
-//              and revalidates its clock stamp: unchanged (epoch, version) proves no Sync
-//              intervened since work started — the shard's capacity state is exactly the
-//              state the scores were computed from.
-//   publish    The thread publishes heap + stamp and goes back to watching. Publication is
-//              one push onto the shard's private lock-free SPSC ring
-//              (src/common/spsc_ring.h), epoch-stamped with the cycle's dispatch sequence;
-//              the push's release store is the publication edge for the heap and counters,
-//              so no lock is taken between the fence and the next dispatch.
+//   late       The thread scores its remaining home tasks (cross-shard block lists) and
+//              merges its sorted heap with the cycle's rescored entries (shared
+//              MergeScoreHeap).
+//   publish    The thread publishes its heap and goes back to waiting. Publication is one
+//              push onto the shard's private lock-free SPSC ring (src/common/spsc_ring.h),
+//              epoch-stamped with the cycle's dispatch sequence; the push's release store is
+//              the publication edge for the heap and counters, so no lock is taken between
+//              the fence and the next dispatch.
 //   quiesce    The driver's fence: it consumes every shard's publication for this cycle —
 //              spin-popping each ring until the frame stamped with this dispatch sequence
-//              arrives (acquire-consume) — then validates every stamp. A stale publication
-//              (a frame from another epoch, or a stamp whose clock moved; impossible under
-//              the cycle protocol; counted as async_stale_publishes) abandons the cycle to
-//              the recompute reference, so grants stay correct even if a caller violates
-//              the protocol. The merge + CANRUN walk then run over the published heaps
-//              exactly as in the synchronous engine.
+//              arrives (acquire-consume) — then re-reads the manager's clock. The window
+//              from dispatch to quiesce contains every shard thread's work, and versions
+//              only grow, so an unchanged (epoch, total) proves the capacity state the scores
+//              were computed from is still the manager's. A stale publication (a frame from
+//              another dispatch, or a clock that moved; impossible under the cycle protocol;
+//              counted as async_stale_publishes) abandons the cycle to the recompute
+//              reference, so grants stay correct even if a caller violates the protocol.
+//              The merge + CANRUN walk then run over the published heaps exactly as in the
+//              synchronous engine.
 //
 // Pinning and placement: each shard thread pins itself to an allowed core at startup —
 // core s % |cpuset| via src/common/cpu_affinity.h — so a shard's refresh/score working set
@@ -88,12 +89,8 @@ class AsyncScheduleEngine : public ScheduleContext {
                  uint64_t previous_cycle) override;
 
  private:
-  // A shard thread's lock-free clock reading at work start, revalidated at publication.
-  struct ClockStamp {
-    uint64_t epoch = 0;
-    uint64_t version = 0;
-    bool valid = true;
-  };
+  // A ring frame: its epoch (the dispatch sequence) is the whole message.
+  struct Frame {};
 
   void ShardLoop(size_t s) EXCLUDES(mu_);
   bool AllBlocksHome(const Task& task, size_t s) const;
@@ -120,10 +117,9 @@ class AsyncScheduleEngine : public ScheduleContext {
   bool stop_ GUARDED_BY(mu_) = false;
 
   // Publication state. Each shard thread produces into its own ring; the driver is
-  // the only consumer. ring_stamps_/ring_done_ are driver-only quiesce scratch (the popped
-  // frames), touched by no shard thread.
-  std::vector<std::unique_ptr<SpscRing<ClockStamp>>> rings_;
-  std::vector<ClockStamp> ring_stamps_;
+  // the only consumer. ring_done_ is driver-only quiesce scratch, touched by no shard
+  // thread.
+  std::vector<std::unique_ptr<SpscRing<Frame>>> rings_;
   std::vector<uint8_t> ring_done_;
 
   // Per shard: home tasks scored before the fence (inputs all shard-owned, or DPF) and

@@ -328,7 +328,7 @@ ScheduleContext::ScheduleContext(GreedyMetric metric, double eta, size_t num_sha
 }
 
 void ScheduleContext::Invalidate() {
-  partition_.reset();
+  changes_ = BlockChangeCursor{};
   snapshot_.reset();
   version_now_.clear();
   dirty_stamp_.clear();
@@ -347,24 +347,31 @@ void ScheduleContext::MarkShardDirty(BlockId id) {
   size_t j = static_cast<size_t>(id);
   if (dirty_stamp_[j] != cycle_stamp_) {
     dirty_stamp_[j] = cycle_stamp_;
-    shards_[partition_->ShardOf(id)].dirty_ids.push_back(id);
+    shards_[ShardOf(id)].dirty_ids.push_back(id);
   }
 }
 
 void ScheduleContext::SyncArrivals(BlockManager& blocks) {
-  if (!partition_.has_value()) {
-    partition_.emplace(&blocks, num_shards_);
+  if (!snapshot_.has_value()) {
     snapshot_.emplace(blocks.grid());
-  } else {
-    // The state is tracked by versions, not by manager identity: a Clone of the manager the
-    // previous cycle saw carries the same epoch and versions, so the partition follows it.
-    partition_->Rebind(&blocks);
   }
-  partition_->Sync();
-  size_t count = blocks.block_count();
-  size_t known = version_now_.size();
+  // The state is tracked by versions, not by manager identity: a Clone of the manager the
+  // previous cycle saw carries the same epoch and versions, so the cursor follows it.
+  changes_.Poll(blocks);
+  size_t count = changes_.known();
+  size_t known = changes_.arrived_begin();
   for (ShardContext& shard : shards_) {
     shard.dirty_ids.clear();
+  }
+  if (num_shards_ > 1) {
+    // Bucket the changed ids by owning shard; each bucket stays ascending. One shard
+    // refreshes straight from the cursor's list.
+    for (ShardContext& shard : shards_) {
+      shard.changed_ids.clear();
+    }
+    for (BlockId g : changes_.changed()) {
+      shards_[ShardOf(g)].changed_ids.push_back(g);
+    }
   }
   dirty_stamp_.resize(count, 0);
   touched_stamp_.resize(count, 0);
@@ -382,11 +389,12 @@ void ScheduleContext::SyncArrivals(BlockManager& blocks) {
 void ScheduleContext::SyncShardBlocks(size_t s, const BlockManager& blocks,
                                       std::span<const Task> pending) {
   ShardContext& shard = shards_[s];
-  // The partition's Sync computed the exact changed-id list per shard — O(changed), via
-  // the manager's version tree — so the refresh touches only those snapshot entries.
-  // Arrivals were appended fresh (and marked dirty) by SyncArrivals; the changed list
-  // never contains them.
-  for (BlockId g : partition_->shard_changed(s)) {
+  // The cursor's poll listed exactly the changed ids — O(changed), via the manager's
+  // version tree — so the refresh touches only those snapshot entries. Arrivals were
+  // appended fresh (and marked dirty) by SyncArrivals; the changed list never contains them.
+  const std::vector<BlockId>& changed =
+      num_shards_ == 1 ? changes_.changed() : shard.changed_ids;
+  for (BlockId g : changed) {
     const PrivacyBlock& b = blocks.block(g);
     version_now_[static_cast<size_t>(g)] = b.version();
     snapshot_->RefreshAvailable(g, b.AvailableCurve());
@@ -412,7 +420,7 @@ void ScheduleContext::SyncShardBlocks(size_t s, const BlockManager& blocks,
     for (BlockId j : task.blocks) {
       size_t ji = static_cast<size_t>(j);
       DPACK_CHECK(j >= 0 && ji < count);
-      if (!owns_all && partition_->ShardOf(j) != s) {
+      if (!owns_all && ShardOf(j) != s) {
         continue;
       }
       if (touched_stamp_[ji] != stamp) {
@@ -446,11 +454,14 @@ void ScheduleContext::SyncShardBlocks(size_t s, const BlockManager& blocks,
   if (shard.dirty_ids.empty()) {
     return;
   }
+  // Owned block g has local index g / N; shard s owns ceil((count - s) / N) of the known
+  // blocks (count > s, since its dirty list is non-empty).
   auto local = [&](BlockId g) {
-    return owns_all ? static_cast<size_t>(g) : partition_->LocalIndex(g);
+    return owns_all ? static_cast<size_t>(g) : static_cast<size_t>(g) / num_shards_;
   };
-  if (shard.requesters.size() < partition_->shard_members(s).size()) {
-    shard.requesters.resize(partition_->shard_members(s).size());
+  size_t owned = (count - s + num_shards_ - 1) / num_shards_;
+  if (shard.requesters.size() < owned) {
+    shard.requesters.resize(owned);
   }
   for (BlockId g : shard.dirty_ids) {
     shard.requesters[local(g)].clear();
@@ -458,7 +469,7 @@ void ScheduleContext::SyncShardBlocks(size_t s, const BlockManager& blocks,
   for (size_t i = 0; i < pending.size(); ++i) {
     for (BlockId j : pending[i].blocks) {
       // Ownership first: another shard may be writing its own blocks' dirty stamps.
-      if ((owns_all || partition_->ShardOf(j) == s) &&
+      if ((owns_all || ShardOf(j) == s) &&
           dirty_stamp_[static_cast<size_t>(j)] == cycle_stamp_) {
         shard.requesters[local(j)].push_back(i);
       }

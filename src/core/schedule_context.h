@@ -9,11 +9,11 @@
 // budget), so most cached scores are still exact. `ScheduleContext` exploits this:
 //
 //   - Dirty-block detection. `PrivacyBlock::version()` and `BlockManager::epoch()` are
-//     monotonic counters bumped on commits, effective unlocks, and block arrivals. A
-//     `ShardedBlockManager` overlay (src/block/sharded_block_manager.h) drills into the
-//     manager's version tree each cycle and lists exactly the blocks whose version moved;
-//     those entries of an incrementally-maintained CapacitySnapshot are refreshed. New
-//     arrivals are detected through the dense id space (block count growth).
+//     monotonic counters bumped on commits, effective unlocks, and block arrivals. The
+//     engine's `BlockChangeCursor` (src/block/block_manager.h) polls the manager's version
+//     tree once per cycle and reports the arrivals and, separately, exactly the blocks whose
+//     version moved; arrivals are appended to an incrementally-maintained CapacitySnapshot
+//     and changed entries refreshed.
 //     For DPack, a per-block signature over the ids of the pending tasks requesting the
 //     block additionally marks membership changes dirty (best alphas depend on the
 //     requester set, not just capacity).
@@ -35,13 +35,15 @@
 //     infeasible and the per-order filter scan is skipped. Commits made earlier in the same
 //     walk bump versions and so re-enable the scan, preserving exact recompute semantics.
 //
-// Sharding. Block g is owned by shard g mod N (the partition's round-robin rule) and task i
-// by shard id mod N. A shard refreshes its owned blocks' snapshot entries, membership
-// signatures and best alphas (phase 2), then scores its home tasks against the shared
-// snapshot and merges its own sorted heap (phase 3). Phase 2 writes only shard-owned entries
-// of the shared id-indexed arrays, so neither phase takes a lock. A cycle is:
-//   1. (sequential) the partition's Sync absorbs arrivals; new blocks are appended to the
-//      snapshot and marked dirty; the batch is split by home shard.
+// Sharding. Block g is owned by shard g mod N (round-robin, so owned block g has local
+// index g / N) and task i by shard id mod N. A shard refreshes its owned blocks' snapshot
+// entries, membership signatures and best alphas (phase 2), then scores its home tasks
+// against the shared snapshot and merges its own sorted heap (phase 3). Phase 2 writes only
+// shard-owned entries of the shared id-indexed arrays, so neither phase takes a lock. A
+// cycle is:
+//   1. (sequential) the cursor's poll reports arrivals and changed blocks; new blocks are
+//      appended to the snapshot and marked dirty, changed ids are bucketed by owning shard,
+//      and the batch is split by home shard.
 //   2. (per shard) owned-block refresh, DPack signatures and best-alpha solves.
 //   3. (per shard) the reverse-index marking pass over every shard's dirty list, the score
 //      pass over home tasks, and the local heap merge.
@@ -79,7 +81,6 @@
 #include <vector>
 
 #include "src/block/block_manager.h"
-#include "src/block/sharded_block_manager.h"
 #include "src/common/worker_pool.h"
 #include "src/core/efficiency.h"
 #include "src/core/task.h"
@@ -131,10 +132,11 @@ struct ScheduleContextStats {
   //     fence, overlapped with the other shards' block refreshes (provably safe: the task's
   //     inputs are entirely shard-owned, or the metric is DPF, whose scores read only total
   //     capacities, which are immutable after arrival).
-  //   - async_stale_publishes: published heap snapshots whose (epoch, version) clock stamp
-  //     failed quiesce validation at the fence. Expected 0 under the cycle protocol; any
-  //     occurrence means a concurrent Sync was caught and the batch fell back to the
-  //     recompute reference (grants stay correct).
+  //   - async_stale_publishes: published heap snapshots that failed quiesce validation: a
+  //     frame from another dispatch, or every frame of a cycle whose manager (epoch,
+  //     version total) clock moved between dispatch and quiesce. Expected 0 under the cycle
+  //     protocol; any occurrence means a concurrent mutation was caught and the batch fell
+  //     back to the recompute reference (grants stay correct).
   //   - async_wasted_rescores: rescores discarded because their cycle's publication was
   //     stale (the work thrown away by a fallback).
   uint64_t async_early_scores = 0;
@@ -319,6 +321,9 @@ class ScheduleContext {
     // shared dirty_stamp_. Written by the owning shard in phase 2 (arrivals are appended
     // sequentially in phase 1); read by every shard's phase-3 marking pass.
     std::vector<BlockId> dirty_ids;
+    // This cycle's changed owned blocks, ascending: the shard's bucket of the cursor's
+    // changed list, filled in phase 1 (unused at one shard, which reads the list itself).
+    std::vector<BlockId> changed_ids;
     // DPack membership bookkeeping for owned blocks, O(touched) per cycle: blocks whose
     // signature was folded this cycle, and blocks whose current signature is non-seed (the
     // only ones that can go dirty by *losing* all requesters).
@@ -364,15 +369,21 @@ class ScheduleContext {
   // also emits the allocation order, so phase 4 skips its N-way merge.
   void MergeShardHeap(ShardContext& shard);
 
+  // Round-robin block ownership.
+  size_t ShardOf(BlockId id) const {
+    return static_cast<size_t>(static_cast<uint64_t>(id) % num_shards_);
+  }
+
   GreedyMetric metric_;
   double eta_;
   size_t num_shards_;
   ScheduleContextStats stats_;
   uint64_t cycle_stamp_ = 0;  // Incremented per ScheduleBatch; task cache liveness clock.
 
-  // The block partition and the shared capacity snapshot; created on the first cycle
-  // after construction or Invalidate (the snapshot needs the manager's grid).
-  std::optional<ShardedBlockManager> partition_;
+  // The engine's position in the manager's change history, and the shared capacity
+  // snapshot (created on the first cycle after construction or Invalidate: it needs the
+  // manager's grid).
+  BlockChangeCursor changes_;
   std::optional<CapacitySnapshot> snapshot_;
 
   // Shared block-side state, indexed by global block id. During phase 2 every entry is
@@ -397,7 +408,8 @@ class ScheduleContext {
   uint64_t pending_wasted_rescores_ = 0;
 
  private:
-  // Phase 1: bind the partition, absorb arrivals into it and the snapshot (sequential).
+  // Phase 1: poll the cursor, absorb arrivals into the snapshot, bucket changed ids
+  // (sequential).
   void SyncArrivals(BlockManager& blocks);
   // Records owned block `id` as dirty this cycle on its owning shard's list, once.
   // Phase-2 callers must own `id`'s shard (disjoint writes); phase 1 calls sequentially.

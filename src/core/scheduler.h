@@ -54,9 +54,10 @@ struct GreedySchedulerOptions {
   // reference is single-threaded) and for FCFS (which never scores, so it runs one shard).
   size_t num_shards = 1;
   // When set, the incremental engine runs on AsyncScheduleEngine, the ScheduleContext
-  // subclass with one persistent scheduler thread per shard: threads rescore against
-  // lock-free per-shard clock reads and publish heap snapshots, and a quiesce/fence keeps
-  // grants byte-identical to the synchronous engine (see src/core/async_schedule_engine.h).
+  // subclass with one persistent scheduler thread per shard: threads rescore and publish
+  // heap snapshots through lock-free rings, and a quiesce that revalidates the manager's
+  // clock keeps grants byte-identical to the synchronous engine (see
+  // src/core/async_schedule_engine.h).
   // Applies to any num_shards >= 1; ignored when incremental is false and for FCFS.
   bool async = false;
 };

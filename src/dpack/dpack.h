@@ -27,13 +27,11 @@
 //     tests/core/incremental_equivalence_test.cc.
 //   - Sharding (`GreedySchedulerOptions::num_shards`, default 1, threaded through
 //     `OnlineSchedulerConfig`, `SimConfig`, and `OrchestratorConfig`): the one engine runs
-//     at any shard count. A `ShardedBlockManager` (src/block/sharded_block_manager.h)
-//     partitions blocks round-robin — block g belongs to shard g mod N, giving each shard
-//     its own arrival epoch and a monotone version sum over its members, the per-shard
-//     restriction of the invariant above ("unchanged shard (epoch, version) => the shard's
-//     capacity state is bit-identical"). Each shard owns its blocks' dirty tracking and
-//     best-alpha solves plus the score cache and score heap of the tasks whose id hashes to
-//     it; the refresh and rescoring phases run on a worker pool (inline at one shard) or,
+//     at any shard count. Blocks are owned round-robin — block g belongs to shard g mod N —
+//     and each cycle the engine's one `BlockChangeCursor` (src/block/block_manager.h) polls
+//     the manager for arrivals and changed blocks, whose ids are bucketed by owning shard.
+//     Each shard owns its blocks' dirty tracking and best-alpha solves plus the score cache
+//     and score heap of the tasks whose id hashes to it; the refresh and rescoring phases run on a worker pool (inline at one shard) or,
 //     with `GreedySchedulerOptions::async`, on persistent per-shard threads
 //     (`AsyncScheduleEngine`, a ScheduleContext subclass). The deterministic merge rule:
 //     every score is computed by the same function on bit-identical snapshot state for
@@ -52,7 +50,6 @@
 
 #include "src/block/block_manager.h"
 #include "src/block/privacy_block.h"
-#include "src/block/sharded_block_manager.h"
 #include "src/common/csv.h"
 #include "src/common/distributions.h"
 #include "src/common/log.h"

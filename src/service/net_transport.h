@@ -13,7 +13,9 @@
 // so a request is served as soon as its bytes land. Liveness is iteration budgets, exactly
 // like the shm transport: a connection that holds a partial frame or an unflushed reply
 // without making progress for `progress_budget` consecutive polls is disconnected, and
-// since every wait is capped at one step, budget * step stays the worst-case deadline.
+// since every wait is one step, budget * step is a lower bound on the deadline (a
+// timed-out step overshoots by the timer slack: 200 µs steps measured 258 µs, see
+// src/common/sleep.h).
 //
 // Clients are never trusted (the self-stabilizing stance: correctness must survive
 // arbitrarily misbehaving peers):

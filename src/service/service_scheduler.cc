@@ -115,19 +115,19 @@ void ServiceScheduler::EnsureStarted(const BlockManager& blocks) {
 
 void ServiceScheduler::BroadcastDiffs(std::span<const Task> pending,
                                       const BlockManager& blocks) {
+  // Arrivals since the previous round are upserted, changed blocks refreshed, each in
+  // ascending id order.
+  block_changes_.Poll(blocks);
   BlockUpsertMsg upserts;
-  BlockRefreshMsg refreshes;
-  size_t count = blocks.block_count();
-  for (size_t j = 0; j < count; ++j) {
+  for (size_t j = block_changes_.arrived_begin(); j < block_changes_.known(); ++j) {
     const PrivacyBlock& b = blocks.block(static_cast<BlockId>(j));
-    if (j >= last_version_.size()) {
-      upserts.entries.push_back({static_cast<int64_t>(j), b.AvailableCurve().epsilons(),
-                                 b.capacity().epsilons()});
-      last_version_.push_back(b.version());
-    } else if (b.version() != last_version_[j]) {
-      refreshes.entries.push_back({static_cast<int64_t>(j), b.AvailableCurve().epsilons()});
-      last_version_[j] = b.version();
-    }
+    upserts.entries.push_back({static_cast<int64_t>(j), b.AvailableCurve().epsilons(),
+                               b.capacity().epsilons()});
+  }
+  BlockRefreshMsg refreshes;
+  for (BlockId j : block_changes_.changed()) {
+    refreshes.entries.push_back(
+        {static_cast<int64_t>(j), blocks.block(j).AvailableCurve().epsilons()});
   }
 
   TaskUpsertMsg tasks;
@@ -345,8 +345,8 @@ void ServiceScheduler::CollectReplies() {
     }
     // No frame anywhere: look for corpses (waitpid) and hangs (heartbeat stalled for the
     // whole iteration budget — the heartbeat advances on every wake or timeout of a worker's
-    // wait, so a stall of budget * poll_sleep_us with a live pid means SIGSTOP or a wedge,
-    // and the daemon replaces the worker the same way it replaces a corpse).
+    // wait, so a stall of at least budget * poll_sleep_us with a live pid means SIGSTOP or
+    // a wedge, and the daemon replaces the worker the same way it replaces a corpse).
     for (size_t w = 0; w < workers; ++w) {
       if (outstanding_[w].empty() || !transport_.alive(w)) {
         continue;

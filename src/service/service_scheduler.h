@@ -21,10 +21,13 @@
 //      equals the state the round was broadcast against.
 //
 // Death detection is two-pronged (waitpid for corpses, a shared heartbeat for hangs), and
-// every wait is an iteration budget of bounded steps — a reply wait blocks on the worker's
-// reply-ring doorbell for at most one poll_sleep_us step, then waitpid and the heartbeat are
-// re-checked — with no clock reads anywhere on the scheduling path (scripts/dpack_lint.py
-// enforces the same nondeterminism rules here as in src/core).
+// every wait is an iteration budget of steps — a reply wait blocks on the worker's
+// reply-ring doorbell for one poll_sleep_us step unless a reply ends it early, then waitpid
+// and the heartbeat are re-checked — with no clock reads anywhere on the scheduling path
+// (scripts/dpack_lint.py enforces the same nondeterminism rules here as in src/core).
+// stall_budget * poll_sleep_us is a lower bound on how long a hang takes to detect: each
+// timed-out step also pays the timer slack, so the default 40000 x 50 µs is about 4.1 s,
+// not 2 s (src/common/sleep.h).
 
 #ifndef SRC_SERVICE_SERVICE_SCHEDULER_H_
 #define SRC_SERVICE_SERVICE_SCHEDULER_H_
@@ -34,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "src/block/block_manager.h"
 #include "src/core/scheduler.h"
 #include "src/service/messages.h"
 #include "src/service/transport.h"
@@ -59,7 +63,8 @@ struct ServiceConfig {
   size_t num_shards = 0;
   double eta = 0.05;  // DPack approximation parameter (kDpack only).
   ServiceRecovery recovery = ServiceRecovery::kReassign;
-  // Transport tuning (see TransportConfig).
+  // Transport tuning (see TransportConfig). stall_budget * poll_sleep_us is a lower bound
+  // on a stall deadline, not the deadline: about 4.1 s at the defaults, not 2 s.
   size_t ring_bytes = 1 << 20;
   unsigned int poll_sleep_us = 50;
   uint64_t stall_budget = 40000;
@@ -121,9 +126,9 @@ class ServiceScheduler : public Scheduler {
   ServiceTransport transport_;
   bool kill_fired_ = false;
 
-  // Diff bookkeeping (versions recorded at broadcast time, before the round's commits, so
+  // Diff bookkeeping (polled at broadcast time, before the round's commits, so
   // allocation-phase changes are shipped at the next round).
-  std::vector<uint64_t> last_version_;
+  BlockChangeCursor block_changes_;
   std::map<TaskId, size_t> sent_tasks_;  // id -> block-list length at last upsert.
 
   // Round state.

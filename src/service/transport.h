@@ -8,9 +8,11 @@
 // worker) and the shared heartbeat counter for hangs (a stopped or wedged worker whose pid
 // is still live). Both are driven by *iteration budgets*, not wall-clock deadlines — the
 // scheduling path stays free of clock reads (scripts/dpack_lint.py nondeterministic-source),
-// and a stall budget of N waits of at most one step each is a deadline all the same. A
-// consumer facing an empty ring blocks on the ring's doorbell (src/common/shm_ring.h), which
-// every push rings, for at most one poll_sleep_us step.
+// and a stall budget of N waits of one step each is a deadline all the same, of at least
+// N steps (a timed-out step overshoots by the timer slack; src/common/sleep.h has the
+// measured cost). A consumer facing an empty ring blocks on the ring's doorbell
+// (src/common/shm_ring.h), which every push rings, for one poll_sleep_us step at most
+// unless the step times out.
 //
 // Crash isolation contract: a worker may die (SIGKILL) at any instant. The rings only ever
 // expose complete checksummed frames (src/common/shm_ring.h), Send() to a dead worker
@@ -57,10 +59,12 @@ struct TransportConfig {
   // Bytes per ring direction (two rings per worker). One megabyte holds any test-sized
   // refresh batch; a full ring is a counted stall, not an error.
   size_t ring_bytes = 1 << 20;
-  // The longest single wait, microseconds: an empty-ring wait blocks on the ring's doorbell
-  // for at most this long (a push ends it early), and a full-ring or reaping wait sleeps
-  // exactly this long. Iteration counts, not elapsed time, bound every wait loop: budget *
-  // step is the worst-case deadline.
+  // One wait step, microseconds: an empty-ring wait blocks on the ring's doorbell for this
+  // long unless a push ends it early, and a full-ring or reaping wait sleeps this long.
+  // Iteration counts, not elapsed time, bound every wait loop: budget * step is a lower
+  // bound on the deadline, and a timed-out step overshoots by the timer slack (50 µs steps
+  // measured 103 µs, so the default 40000-step stall budget is about 4.1 s; see
+  // src/common/sleep.h).
   unsigned int poll_sleep_us = 50;
   // Poll iterations a blocking daemon-side wait may spin before declaring the peer hung.
   uint64_t stall_budget = 40000;
@@ -139,7 +143,7 @@ class ServiceTransport {
   // Blocking push to worker w's inbound ring. A full ring is polled (counting ring_stalls)
   // until space frees, the worker is found dead (returns false), or the stall budget is
   // exhausted (DPACK_CHECK failure: a live, bound worker that stops draining its ring for
-  // budget * poll_sleep_us is a bug, not backpressure).
+  // at least budget * poll_sleep_us is a bug, not backpressure).
   bool Send(size_t w, const ServiceMessage& message);
 
   // Non-blocking pop from worker w's outbound ring. kOk decodes into *out (an undecodable
